@@ -1,14 +1,21 @@
 // Engine-level golden test: RunStats must stay BITWISE identical across
 // engine-internal refactors (the calendar-queue event core, scratch
-// pooling in the replan path, ...). The golden file pins every RunStats
-// field of a spread of seed configurations — the fig08-style paper
-// setup plus the variant paths (overload, resume, counter-only
-// triggers, S-/No-DVFS, discrete levels, big.LITTLE, weighted, eager,
-// baselines) — as exact IEEE-754 bit patterns.
+// pooling in the replan path, the dense per-core substep, ...). The
+// golden file pins every RunStats field of a spread of seed
+// configurations — the fig08-style paper setup plus the variant paths
+// (overload, resume, counter-only triggers, S-/No-DVFS, discrete
+// levels, big.LITTLE, weighted, eager, baselines, scheduled budget
+// steps, and a static-power trough with sleep states and race-to-idle,
+// which drives the residency, wake and parking branches) — as exact
+// IEEE-754 bit patterns. One case also runs with record_execution on
+// and pins a digest of every executed segment.
 //
-// Regenerating (ONLY legitimate after an intentional semantic change):
-//   $ QES_GOLDEN_DUMP=1 build/tests/sim_engine_golden_test  (redirect
-//     stdout to tests/golden/engine_runstats.txt)
+// Regenerating (ONLY legitimate after an intentional semantic change,
+// or to pin a newly added case on an unchanged engine): run
+//   QES_GOLDEN_DUMP=1 build/tests/sim_engine_golden_test
+//       --gtest_filter='*RunStatsBitwiseStable'
+// and keep only the table lines (grep -E '^[a-z0-9_]+ [a-z0-9_]+ [0-9a-f]{16} ')
+// in tests/golden/engine_runstats.txt.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,13 +41,45 @@ using namespace qes;
 struct GoldenCase {
   std::string name;
   RunStats stats;
+  /// FNV-1a over RunResult::executed; set only for record_execution runs.
+  std::optional<std::uint64_t> executed_digest;
+  std::size_t executed_segments = 0;
 };
 
-RunStats run_case(EngineConfig cfg, const WorkloadConfig& wl,
-                  std::unique_ptr<SchedulingPolicy> policy) {
-  cfg.record_execution = false;
+/// FNV-1a over every executed segment's core, bit patterns and job id.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= (v >> (8 * k)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+GoldenCase run_case(std::string name, EngineConfig cfg,
+                    const WorkloadConfig& wl,
+                    std::unique_ptr<SchedulingPolicy> policy,
+                    bool record_execution = false) {
+  cfg.record_execution = record_execution;
   Engine engine(cfg, generate_websearch_jobs(wl), std::move(policy));
-  return engine.run().stats;
+  const RunResult r = engine.run();
+  GoldenCase out{std::move(name), r.stats, std::nullopt, 0};
+  if (record_execution) {
+    Fnv1a d;
+    for (std::size_t core = 0; core < r.executed.size(); ++core) {
+      for (const Segment& s : r.executed[core].segments()) {
+        d.add(core);
+        d.add(std::bit_cast<std::uint64_t>(s.t0));
+        d.add(std::bit_cast<std::uint64_t>(s.t1));
+        d.add(s.job);
+        d.add(std::bit_cast<std::uint64_t>(s.speed));
+        ++out.executed_segments;
+      }
+    }
+    out.executed_digest = d.h;
+  }
+  return out;
 }
 
 WorkloadConfig wl(double rate, double seconds, std::uint64_t seed) {
@@ -52,26 +92,24 @@ WorkloadConfig wl(double rate, double seconds, std::uint64_t seed) {
 
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> out;
-  const auto add = [&out](std::string name, RunStats s) {
-    out.push_back({std::move(name), s});
-  };
+  const auto add = [&out](GoldenCase c) { out.push_back(std::move(c)); };
 
   // The paper's §V-B setup (fig08 point: 16 cores, H = 320 W).
-  add("paper_h320_r150", run_case(EngineConfig{}, wl(150.0, 20.0, 1),
-                                  make_des_policy()));
+  add(run_case("paper_h320_r150", EngineConfig{}, wl(150.0, 20.0, 1),
+               make_des_policy()));
   {
     // Overload + tight budget: shedding, rigid-discard loop untouched.
     EngineConfig cfg;
     cfg.power_budget = 80.0;
     WorkloadConfig w = wl(260.0, 15.0, 2);
     w.partial_fraction = 0.7;  // mixes rigid jobs into the §V-D loop
-    add("overload_h80_r260_rigid30", run_case(cfg, w, make_des_policy()));
+    add(run_case("overload_h80_r260_rigid30", cfg, w, make_des_policy()));
   }
   {
     // Resume ablation: baseline-aware Quality-OPT + YDS planning path.
     EngineConfig cfg;
     cfg.resume_passed_jobs = true;
-    add("resume_r180", run_case(cfg, wl(180.0, 15.0, 3), make_des_policy()));
+    add(run_case("resume_r180", cfg, wl(180.0, 15.0, 3), make_des_policy()));
   }
   {
     // Counter-only triggers (the 10M-cell coalesced configuration).
@@ -79,20 +117,20 @@ std::vector<GoldenCase> golden_cases() {
     cfg.idle_trigger = false;
     cfg.counter_trigger = 8;
     cfg.quantum_ms = 100.0;
-    add("counter_only_r150", run_case(cfg, wl(150.0, 20.0, 4),
-                                      make_des_policy()));
+    add(run_case("counter_only_r150", cfg, wl(150.0, 20.0, 4),
+                 make_des_policy()));
   }
   {
     DesOptions d;
     d.arch = Architecture::SDVFS;
-    add("sdvfs_r150", run_case(EngineConfig{}, wl(150.0, 15.0, 5),
-                               make_des_policy(d)));
+    add(run_case("sdvfs_r150", EngineConfig{}, wl(150.0, 15.0, 5),
+                 make_des_policy(d)));
   }
   {
     DesOptions d;
     d.arch = Architecture::NoDVFS;
-    add("nodvfs_r120", run_case(EngineConfig{}, wl(120.0, 15.0, 6),
-                                make_des_policy(d)));
+    add(run_case("nodvfs_r120", EngineConfig{}, wl(120.0, 15.0, 6),
+                 make_des_policy(d)));
   }
   {
     // Discrete speed levels (§V-F rectification + quantization).
@@ -100,8 +138,8 @@ std::vector<GoldenCase> golden_cases() {
     cfg.max_core_speed = DiscreteSpeedSet::opteron2380().max_speed();
     DesOptions d;
     d.speed_levels = DiscreteSpeedSet::opteron2380();
-    add("discrete_r150", run_case(cfg, wl(150.0, 15.0, 7),
-                                  make_des_policy(d)));
+    add(run_case("discrete_r150", cfg, wl(150.0, 15.0, 7),
+                 make_des_policy(d)));
   }
   {
     // big.LITTLE caps + capacity-aware distribution.
@@ -110,8 +148,8 @@ std::vector<GoldenCase> golden_cases() {
     for (int i = 0; i < 8; ++i) cfg.per_core_max_speed[i] = 1.2;
     DesOptions d;
     d.capacity_aware_distribution = true;
-    add("biglittle_r150", run_case(cfg, wl(150.0, 15.0, 8),
-                                   make_des_policy(d)));
+    add(run_case("biglittle_r150", cfg, wl(150.0, 15.0, 8),
+                 make_des_policy(d)));
   }
   {
     // Service classes: weighted volume allocation.
@@ -119,29 +157,55 @@ std::vector<GoldenCase> golden_cases() {
     w.premium_fraction = 0.2;
     DesOptions d;
     d.weighted = true;
-    add("weighted_r150", run_case(EngineConfig{}, w, make_des_policy(d)));
+    add(run_case("weighted_r150", EngineConfig{}, w, make_des_policy(d)));
   }
   {
     DesOptions d;
     d.eager_execution = true;
-    add("eager_r180", run_case(EngineConfig{}, wl(180.0, 15.0, 10),
-                               make_des_policy(d)));
+    add(run_case("eager_r180", EngineConfig{}, wl(180.0, 15.0, 10),
+                 make_des_policy(d)));
   }
   {
     // Ablations of the distribution + power-split components.
     DesOptions d;
     d.plain_round_robin = true;
     d.static_power = true;
-    add("plainrr_static_r200", run_case(EngineConfig{}, wl(200.0, 15.0, 11),
-                                        make_des_policy(d)));
+    add(run_case("plainrr_static_r200", EngineConfig{}, wl(200.0, 15.0, 11),
+                 make_des_policy(d)));
   }
   {
     // FCFS baseline with WF power (idle-trigger-driven engine path).
     BaselineOptions b;
     b.power = PowerDistribution::WaterFilling;
-    add("fcfs_wf_r150",
-        run_case(baseline_engine_config(EngineConfig{}), wl(150.0, 15.0, 12),
-                 make_baseline_policy(b)));
+    add(run_case("fcfs_wf_r150", baseline_engine_config(EngineConfig{}),
+                 wl(150.0, 15.0, 12), make_baseline_policy(b)));
+  }
+  {
+    // Scheduled budget steps (brownout and recovery): each step forces a
+    // replan against the new H mid-plan.
+    EngineConfig cfg;
+    cfg.budget_steps = {{4000.0, 160.0}, {8000.0, 480.0}, {11000.0, 240.0}};
+    add(run_case("budget_steps_r180", cfg, wl(180.0, 15.0, 13),
+                 make_des_policy()));
+  }
+  {
+    // The overnight_trough power model: static draw b = 2 W, a sleep
+    // C-state at 0.2 W with a 1 ms / 0.05 J wake, race-to-idle on. Runs
+    // the residency, wake and parking branches of the engine, and pins
+    // the executed segments (record_execution on) as a digest.
+    EngineConfig cfg;
+    cfg.cores = 8;
+    cfg.power_budget = 160.0;
+    cfg.quantum_ms = 200.0;
+    cfg.power_model.b = 2.0;
+    cfg.power_model.sleep_enabled = true;
+    cfg.power_model.sleep_power = 0.2;
+    cfg.power_model.wake_latency_ms = 1.0;
+    cfg.power_model.wake_energy_j = 0.05;
+    WorkloadConfig w = wl(20.0, 20.0, 23);
+    w.deadline_ms = 2000.0;
+    add(run_case("trough_sleep_race_r20", cfg, w, make_des_policy(),
+                 /*record_execution=*/true));
   }
   return out;
 }
@@ -166,14 +230,46 @@ std::vector<std::pair<std::string, double>> fields(const RunStats& s) {
       {"p95_latency", s.p95_latency},
       {"p99_latency", s.p99_latency},
       {"replans", static_cast<double>(s.replans)},
+      {"wake_energy", s.wake_energy},
+      {"core_wakes", static_cast<double>(s.core_wakes)},
+      {"active_ms", s.active_ms},
+      {"active_idle_ms", s.active_idle_ms},
+      {"sleep_ms", s.sleep_ms},
   };
 }
 
-std::string hex_bits(double v) {
+std::string hex64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+                static_cast<unsigned long long>(v));
   return buf;
+}
+
+std::string hex_bits(double v) {
+  return hex64(std::bit_cast<std::uint64_t>(v));
+}
+
+/// One golden line: `<case> <field> <hex> <decimal>`. Stats fields carry
+/// their IEEE-754 bits; the executed digest carries the FNV-1a hash and
+/// the segment count.
+struct Row {
+  std::string field;
+  std::string hex;
+  std::string decimal;
+};
+
+std::vector<Row> rows(const GoldenCase& c) {
+  std::vector<Row> out;
+  for (const auto& [field, value] : fields(c.stats)) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    out.push_back({field, hex_bits(value), buf});
+  }
+  if (c.executed_digest) {
+    out.push_back({"executed_digest", hex64(*c.executed_digest),
+                   std::to_string(c.executed_segments)});
+  }
+  return out;
 }
 
 TEST(SimEngineGolden, RunStatsBitwiseStable) {
@@ -181,9 +277,9 @@ TEST(SimEngineGolden, RunStatsBitwiseStable) {
 
   if (std::getenv("QES_GOLDEN_DUMP") != nullptr) {
     for (const GoldenCase& c : cases) {
-      for (const auto& [field, value] : fields(c.stats)) {
-        std::printf("%s %s %s %.17g\n", c.name.c_str(), field.c_str(),
-                    hex_bits(value).c_str(), value);
+      for (const Row& r : rows(c)) {
+        std::printf("%s %s %s %s\n", c.name.c_str(), r.field.c_str(),
+                    r.hex.c_str(), r.decimal.c_str());
       }
     }
     GTEST_SKIP() << "dump mode: golden table printed to stdout";
@@ -200,18 +296,42 @@ TEST(SimEngineGolden, RunStatsBitwiseStable) {
 
   std::size_t checked = 0;
   for (const GoldenCase& c : cases) {
-    for (const auto& [f, value] : fields(c.stats)) {
-      const auto it = golden.find(c.name + " " + f);
+    for (const Row& r : rows(c)) {
+      const auto it = golden.find(c.name + " " + r.field);
       ASSERT_NE(it, golden.end())
-          << "golden file lacks " << c.name << " " << f
+          << "golden file lacks " << c.name << " " << r.field
           << " (regenerate with QES_GOLDEN_DUMP=1)";
-      EXPECT_EQ(it->second, hex_bits(value))
-          << c.name << "." << f << " drifted: golden " << it->second
-          << ", got " << hex_bits(value) << " (" << value << ")";
+      EXPECT_EQ(it->second, r.hex)
+          << c.name << "." << r.field << " drifted: golden " << it->second
+          << ", got " << r.hex << " (" << r.decimal << ")";
       ++checked;
     }
   }
-  EXPECT_EQ(checked, cases.size() * fields(cases[0].stats).size());
+  // Every golden line is checked: a case dropped from the list above
+  // must be dropped from the file too.
+  EXPECT_EQ(checked, golden.size());
+}
+
+// The pinned cases must actually reach the branches they are there for.
+TEST(SimEngineGolden, CasesCoverTheirBranches) {
+  const std::vector<GoldenCase> cases = golden_cases();
+  const auto find = [&cases](const std::string& name) -> const GoldenCase& {
+    for (const GoldenCase& c : cases) {
+      if (c.name == name) return c;
+    }
+    ADD_FAILURE() << "no golden case " << name;
+    return cases.front();
+  };
+  const GoldenCase& trough = find("trough_sleep_race_r20");
+  EXPECT_GT(trough.stats.core_wakes, 0U);
+  EXPECT_GT(trough.stats.sleep_ms, 0.0);
+  EXPECT_GT(trough.stats.active_idle_ms, 0.0);
+  EXPECT_GT(trough.executed_segments, 0U);
+  // Residency partitions core-time: active + active_idle + sleep ==
+  // cores * end_time.
+  EXPECT_NEAR(trough.stats.active_ms + trough.stats.active_idle_ms +
+                  trough.stats.sleep_ms,
+              8.0 * trough.stats.end_time, 1e-6 * trough.stats.end_time);
 }
 
 }  // namespace
