@@ -26,7 +26,9 @@ void Engine::init_runtime() {
                    "budget steps must be sorted by time");
   }
   cores_.resize(static_cast<std::size_t>(cfg_.cores));
+  pending_.resize(cores_.size());
   live_.reserve(cores_.size());
+  due_.reserve(cores_.size());
   dirty_cores_.reserve(cores_.size());
   sleep_mode_ = cfg_.power_model.has_sleep();
   attribution_ = obs::EnergyAttribution(cfg_.registry, /*node=*/0);
@@ -85,6 +87,24 @@ void Engine::admit_streamed_arrival() {
 JobState& Engine::state(JobId id) {
   QES_ASSERT(id >= 1 && id <= jobs_.size());
   return jobs_[id - 1];
+}
+
+void Engine::load_pending(int core) {
+  const CoreRuntime& c = cores_[static_cast<std::size_t>(core)];
+  PendingSeg& p = pending_[static_cast<std::size_t>(core)];
+  p.power_w = -1.0;
+  if (c.next_seg < c.plan.size()) {
+    const Segment& s = c.plan[c.next_seg];
+    p.t0 = s.t0;
+    p.t1 = s.t1;
+    p.speed = s.speed;
+    p.job = &state(s.job);
+  } else {
+    p.t0 = kNever;
+    p.t1 = kNever;
+    p.speed = 0.0;
+    p.job = nullptr;
+  }
 }
 
 const JobState& Engine::job(JobId id) const {
@@ -155,7 +175,8 @@ void Engine::unassign_from_core(JobId id) {
   c.queue.erase(it);
   c.plan.clear();
   c.next_seg = 0;
-  c.power_seg = SIZE_MAX;
+  load_pending(core);
+  boundary_valid_ = false;
   c.sleep_after = false;  // the policy installs a fresh plan next
   mark_dirty(core);
   st.phase = JobState::Phase::Waiting;
@@ -193,7 +214,8 @@ void Engine::set_core_plan(int core, const Schedule& plan) {
   }
   c.plan = plan;  // copy-assign: the slot's capacity is reused
   c.next_seg = 0;
-  c.power_seg = SIZE_MAX;
+  load_pending(core);
+  boundary_valid_ = false;
   mark_dirty(core);
   if (!c.plan.empty()) enter_live(core);
 }
@@ -201,17 +223,17 @@ void Engine::set_core_plan(int core, const Schedule& plan) {
 void Engine::set_core_idle_power(int core, Watts watts) {
   QES_ASSERT(core >= 0 && core < cfg_.cores);
   QES_ASSERT(watts >= 0.0);
-  cores_[static_cast<std::size_t>(core)].idle_power = watts;
+  pending_[static_cast<std::size_t>(core)].idle_w = watts;
   if (watts > 0.0) enter_live(core);
 }
 
 void Engine::set_core_sleep(int core, bool sleep_after) {
   QES_ASSERT(core >= 0 && core < cfg_.cores);
   if (!sleep_mode_) return;
-  CoreRuntime& c = cores_[static_cast<std::size_t>(core)];
-  QES_ASSERT_MSG(!sleep_after || c.idle_power <= 0.0,
+  QES_ASSERT_MSG(!sleep_after ||
+                     pending_[static_cast<std::size_t>(core)].idle_w <= 0.0,
                  "a core cannot both burn idle power and park");
-  c.sleep_after = sleep_after;
+  cores_[static_cast<std::size_t>(core)].sleep_after = sleep_after;
 }
 
 void Engine::finalize(JobId id, bool force_zero_quality) {
@@ -292,9 +314,10 @@ void Engine::refresh_events() {
     CoreRuntime& c = cores_[static_cast<std::size_t>(i)];
     c.dirty = false;
     ++c.wake_gen;  // orphan any queued wake for the stale candidate
-    if (c.next_seg < c.plan.size()) {
+    const PendingSeg& p = pending_[static_cast<std::size_t>(i)];
+    if (p.job != nullptr) {
       events_.push(
-          core_wake_candidate(c),
+          boundary_after(p, now_),
           Ev{Ev::Kind::CoreWake, static_cast<std::uint32_t>(i), c.wake_gen});
     }
   }
@@ -307,56 +330,61 @@ void Engine::advance_to(Time target) {
     // Sub-step end: the earliest segment boundary across cores, capped at
     // the target. Power is constant within the sub-step. Cores outside
     // live_ have no pending segments and zero idle power, so skipping
-    // them leaves both the boundary scan and the power sum (an exact
-    // +0.0 per skipped core) unchanged.
-    Time step_end = target;
-    for (int i : live_) {
-      const CoreRuntime& c = cores_[static_cast<std::size_t>(i)];
-      if (c.next_seg >= c.plan.size()) continue;
-      const Segment& s = c.plan[c.next_seg];
-      step_end = std::min(step_end, s.t0 > now_ + kTimeEps ? s.t0 : s.t1);
+    // them leaves both the boundary and the power sum (an exact +0.0 per
+    // skipped core) unchanged.
+    if (!boundary_valid_) {
+      next_boundary_ = kNever;
+      for (int idx : live_) {
+        next_boundary_ = std::min(
+            next_boundary_,
+            boundary_after(pending_[static_cast<std::size_t>(idx)], now_));
+      }
+      boundary_valid_ = true;
     }
+    const Time step_end = std::min(target, next_boundary_);
+    Time next = kNever;  // earliest boundary among the cores not due
+    due_.clear();
 
     if (step_end > now_ + kTimeEps) {
-      const Time dt = step_end - now_;
+      // The one pass: integrate every live core over [now_, step_end)
+      // and sort it into due (sweep below) or not (its next boundary).
+      // Locals keep the job-state stores from forcing reloads of now_
+      // through possible aliasing; the rare paths (first evaluation of
+      // a·s^β, execution recording, tracing) stay out of line so the
+      // accumulators live in registers.
+      const Time t = now_;
+      const Time t_eps = t + kTimeEps;
+      const Time dt = step_end - t;
+      const bool observe = cfg_.record_execution || cfg_.trace != nullptr;
+      PendingSeg* const pending = pending_.data();
       Watts total_power = 0.0;
       Watts idle_w = 0.0;
       int active_n = 0;
       for (int idx : live_) {
-        const std::size_t i = static_cast<std::size_t>(idx);
-        CoreRuntime& c = cores_[i];
-        const bool active = c.next_seg < c.plan.size() &&
-                            c.plan[c.next_seg].t0 <= now_ + kTimeEps;
-        if (active) {
+        PendingSeg& p = pending[idx];
+        if (p.t0 <= t_eps) {
           ++active_n;
-          const Segment& s = c.plan[c.next_seg];
-          if (c.power_seg != c.next_seg) {
-            c.power_seg = c.next_seg;
-            c.power_w = cfg_.power_model.dynamic_power(s.speed);
+          if (p.power_w < 0.0) [[unlikely]] {
+            p.power_w = cfg_.power_model.dynamic_power(p.speed);
           }
-          total_power += c.power_w;
-          JobState& js = state(s.job);
-          js.processed += s.speed * dt;
+          const Watts power = p.power_w;
+          JobState& js = *p.job;
+          total_power += power;
+          js.processed += p.speed * dt;
           // Per-job attribution re-groups the run-level sum's terms
           // (same cached a·s^β), so Σ jobs + idle reconciles with
           // dynamic_energy_ within fp round-off; the golden-pinned
           // run-level accumulation below stays bitwise untouched.
-          js.energy_j += joules(c.power_w, dt);
-          if (cfg_.record_execution) {
-            result_.executed[i].push({now_, step_end, s.job, s.speed});
-          }
-          if (cfg_.trace != nullptr) {
-            cfg_.trace->push({.kind = obs::TraceEvent::Kind::Exec,
-                              .t = now_,
-                              .job = s.job,
-                              .core = idx,
-                              .t0 = now_,
-                              .t1 = step_end,
-                              .speed = s.speed});
-          }
+          js.energy_j += joules(power, dt);
+          if (observe) [[unlikely]] log_exec(idx, p, t, step_end);
         } else {
-          total_power += c.idle_power;
-          idle_w += c.idle_power;
+          total_power += p.idle_w;
+          idle_w += p.idle_w;
+        }
+        if (due_at(p, step_end)) {
+          due_.push_back(idx);
+        } else {
+          next = std::min(next, boundary_after(p, step_end));
         }
       }
       QES_ASSERT_MSG(
@@ -380,21 +408,57 @@ void Engine::advance_to(Time target) {
             (m - asleep - static_cast<double>(active_n)) * dt;
       }
       now_ = step_end;
+    } else {
+      // A boundary within kTimeEps of now_: no time passes, the sweep
+      // still completes whatever ends here.
+      for (int idx : live_) {
+        const PendingSeg& p = pending_[static_cast<std::size_t>(idx)];
+        if (due_at(p, now_)) {
+          due_.push_back(idx);
+        } else {
+          next = std::min(next, boundary_after(p, now_));
+        }
+      }
     }
 
-    // Process segment completions at now_, compacting spent cores out of
-    // the live list in place (ascending order — i.e. the legacy power
-    // summation order — is preserved).
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < live_.size(); ++r) {
-      const int idx = live_[r];
-      CoreRuntime& c = cores_[static_cast<std::size_t>(idx)];
-      bool moved = false;
+    next_boundary_ = std::min(next, complete_due_cores());
+    if (now_ >= target - kTimeEps) break;
+  }
+  if (target > now_) {
+    now_ = target;
+    boundary_valid_ = false;  // candidates near now_ may have slid
+  }
+}
+
+void Engine::log_exec(int core, const PendingSeg& p, Time t0, Time t1) {
+  if (cfg_.record_execution) {
+    result_.executed[static_cast<std::size_t>(core)].push(
+        {t0, t1, p.job->job.id, p.speed});
+  }
+  if (cfg_.trace != nullptr) {
+    cfg_.trace->push({.kind = obs::TraceEvent::Kind::Exec,
+                      .t = t0,
+                      .job = p.job->job.id,
+                      .core = core,
+                      .t0 = t0,
+                      .t1 = t1,
+                      .speed = p.speed});
+  }
+}
+
+Time Engine::complete_due_cores() {
+  Time next = kNever;
+  bool left = false;
+  for (int idx : due_) {
+    CoreRuntime& c = cores_[static_cast<std::size_t>(idx)];
+    PendingSeg& p = pending_[static_cast<std::size_t>(idx)];
+    if (p.job != nullptr) {
+      // Due with a pending segment: it ends by now_, so at least one
+      // segment completes here.
       while (c.next_seg < c.plan.size() &&
              c.plan[c.next_seg].t1 <= now_ + kTimeEps) {
         const Segment done = c.plan[c.next_seg];
         ++c.next_seg;
-        moved = true;
         JobState& st = state(done.job);
         if (st.phase == JobState::Phase::Finalized) continue;
         const bool complete =
@@ -415,26 +479,31 @@ void Engine::advance_to(Time target) {
           finalize(done.job);
         }
       }
-      if (moved) mark_dirty(idx);
-      if (sleep_mode_ && c.sleep_after && c.next_seg >= c.plan.size()) {
-        // Race-to-idle payoff: the plan ran out flat-out, park now.
-        c.sleep_after = false;
-        if (!c.asleep) {
-          c.asleep = true;
-          ++asleep_count_;
-        }
-      }
-      if (c.next_seg < c.plan.size() || c.idle_power > 0.0) {
-        live_[w++] = idx;
-      } else {
-        c.in_live = false;
+      load_pending(idx);
+      mark_dirty(idx);
+      next = std::min(next, boundary_after(p, now_));
+    }
+    if (sleep_mode_ && c.sleep_after && p.job == nullptr) {
+      // Race-to-idle payoff: the plan ran out flat-out, park now.
+      c.sleep_after = false;
+      if (!c.asleep) {
+        c.asleep = true;
+        ++asleep_count_;
       }
     }
-    live_.resize(w);
-
-    if (now_ >= target - kTimeEps) break;
+    if (p.job == nullptr && !(p.idle_w > 0.0)) {
+      c.in_live = false;
+      left = true;
+    }
   }
-  now_ = std::max(now_, target);
+  if (left) {
+    // Compact spent cores out of live_, keeping ascending order (the
+    // legacy power summation order).
+    std::erase_if(live_, [this](int idx) {
+      return !cores_[static_cast<std::size_t>(idx)].in_live;
+    });
+  }
+  return next;
 }
 
 void Engine::feed_accumulator_upto(std::size_t limit) {
@@ -460,7 +529,8 @@ void Engine::reclaim_dead_prefix() {
     return;
   }
   // advance_to's completion sweep dereferences state(seg.job) for stale
-  // segments of already-finalized jobs, so every job still named by an
+  // segments of already-finalized jobs, and pending_ holds a pointer to
+  // each pending segment's job, so every job still named by an
   // installed plan must stay resident even when it sits below
   // first_live_.
   std::size_t floor = first_live_;
@@ -513,9 +583,10 @@ RunResult Engine::run() {
         break;
       case Ev::Kind::CoreWake: {
         CoreRuntime& c = cores_[static_cast<std::size_t>(ev.core)];
-        if (ev.idx != c.wake_gen) break;         // superseded by a re-arm
-        if (c.next_seg >= c.plan.size()) break;  // plan exhausted
-        const Time cand = core_wake_candidate(c);
+        const PendingSeg& p = pending_[ev.core];
+        if (ev.idx != c.wake_gen) break;  // superseded by a re-arm
+        if (p.job == nullptr) break;      // plan exhausted
+        const Time cand = boundary_after(p, now_);
         if (cand != item.t) {
           // The boundary slid from segment start to segment end (now_
           // crossed t0 without touching this core): re-arm at the
