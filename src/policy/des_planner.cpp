@@ -162,17 +162,16 @@ void DesPlanner::eager_timetable_into(const CoreView& core, Time now,
 // power-label property suite asserts.
 void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
                                     const PowerModel& pm, Time now,
-                                    Speed race_cap, CoreOutcome& out) {
+                                    Speed race_cap, Speed critical_speed,
+                                    CoreOutcome& out) {
   if (!opt.race_to_idle || !pm.has_sleep()) return;
   const auto& segs = out.plan.segments();
   if (segs.empty()) return;
   Speed top = 0.0;
   Work volume = 0.0;
-  Joules dyn_stretch = 0.0;
   for (const Segment& s : segs) {
     top = std::max(top, s.speed);
     volume += s.volume();
-    dyn_stretch += pm.dynamic_energy(s.speed, s.t1 - s.t0);
   }
   // The race runs at the energy-optimal critical speed s* (see
   // PowerModel::critical_speed), clamped into [top, race_cap]: racing
@@ -181,8 +180,7 @@ void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
   // sleep), while racing below the plan's own top speed would stretch
   // it instead — if the clamp leaves no headroom over `top` there is
   // nothing to race.
-  const Speed race_speed =
-      std::min(race_cap, std::max(top, pm.critical_speed()));
+  const Speed race_speed = std::min(race_cap, std::max(top, critical_speed));
   if (race_speed <= top + kTimeEps || volume <= kTimeEps) return;
   const Time race_end = now + volume / race_speed;
   const Time gap_ms = segs.back().t1 - race_end;
@@ -191,6 +189,12 @@ void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
   // energy (1000 * wake_energy_j / (b - sleep_power) ms).
   if (gap_ms <= pm.wake_latency_ms || gap_ms <= pm.sleep_break_even_ms()) {
     return;
+  }
+  // Only a core past the cheap exits pays one pow per segment for the
+  // stretched plan's dynamic energy.
+  Joules dyn_stretch = 0.0;
+  for (const Segment& s : segs) {
+    dyn_stretch += pm.dynamic_energy(s.speed, s.t1 - s.t0);
   }
   const Joules dyn_race = pm.dynamic_energy(race_speed, race_end - now);
   const Joules sleep_saving =
@@ -489,6 +493,7 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
   // Race-to-idle is live only with a sleep state configured; the guard
   // keeps the b=0 pipelines (and their allocations) bitwise untouched.
   const bool race = opt.race_to_idle && pm.has_sleep() && continuous;
+  const Speed critical_speed = race ? pm.critical_speed() : 0.0;
 
   if (continuous && !opt.static_power && !opt.eager_execution &&
       total_request <= view.power_budget + kTimeEps &&
@@ -504,7 +509,8 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
             pm.speed_for_dynamic_power(view.power_budget /
                                        static_cast<double>(m)),
             view.cores[i].speed_cap);
-        maybe_race_to_idle(opt, pm, view.now, cap, out.cores[i]);
+        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
+                           out.cores[i]);
       }
     }
     return;
@@ -564,7 +570,10 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
             return plan_tmp_;
           },
           out.cores[i]);
-      if (race) maybe_race_to_idle(opt, pm, view.now, cap, out.cores[i]);
+      if (race) {
+        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
+                           out.cores[i]);
+      }
     }
     return;
   }

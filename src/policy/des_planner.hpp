@@ -212,9 +212,11 @@ class DesPlanner {
   /// premium vs. static saving over the created idle gap, net of the
   /// wake transition cost — rewrites `out.plan` to the race timetable
   /// and sets `out.sleep_after`. No-op unless the model has a sleep
-  /// state and `opt.race_to_idle` is set.
+  /// state and `opt.race_to_idle` is set. `critical_speed` is
+  /// pm.critical_speed(), computed once per planning call.
   void maybe_race_to_idle(const PlanOptions& opt, const PowerModel& pm,
-                          Time now, Speed race_cap, CoreOutcome& out);
+                          Time now, Speed race_cap, Speed critical_speed,
+                          CoreOutcome& out);
   static void quantize_plan_into(const Schedule& plan, Time now,
                                  const DiscreteSpeedSet& levels, Speed cap,
                                  Schedule& out);
