@@ -7,7 +7,8 @@
 // workload shape is simulated for 1x and 4x the horizon (so ~4x the
 // jobs), and the global operator-new COUNT may grow only by a small
 // constant between the two (hard gate, exit 1 on violation) — millions
-// of extra jobs, effectively zero extra allocations.
+// of extra jobs, effectively zero extra allocations. It runs in well
+// under a second, so ctest runs it too (test `sim_event_core`).
 //
 // It also reports the raw event-core throughput (events and jobs per
 // wall second) that scripts/record_bench.sh's scenario section tracks.
