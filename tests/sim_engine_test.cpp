@@ -4,6 +4,7 @@
 
 #include "multicore/baseline_scheduler.hpp"
 #include "multicore/des_scheduler.hpp"
+#include "obs/trace.hpp"
 #include "workload/generator.hpp"
 
 namespace qes {
@@ -123,6 +124,70 @@ TEST(Engine, IdlePowerIsIntegratedToTheLastDeadline) {
   const double expected = (5.0 * 0.01) + (10.0 * 0.99) + (10.0 * 1.0);
   EXPECT_NEAR(result.stats.dynamic_energy, expected, 1e-6);
   EXPECT_NEAR(result.stats.end_time, 1000.0, 1e-9);
+}
+
+// Completions at one instant finalize in ascending core order, the
+// order the attribution plane sums in, whatever the job ids.
+TEST(Engine, SimultaneousCompletionsFinalizeInCoreOrder) {
+  std::vector<Job> jobs = {
+      {.id = 1, .release = 0.0, .deadline = 150.0, .demand = 100.0},
+      {.id = 2, .release = 0.0, .deadline = 150.0, .demand = 100.0}};
+  obs::TraceRing ring(1024);
+  EngineConfig cfg = small_config();
+  cfg.trace = &ring;
+  auto policy = std::make_unique<ScriptedPolicy>([](Engine& eng) {
+    if (eng.waiting().size() < 2) return;
+    for (const auto& [id, core] :
+         {std::pair{JobId{1}, 1}, std::pair{JobId{2}, 0}}) {
+      eng.assign_to_core(id, core);
+      Schedule plan;
+      plan.push({eng.now(), eng.now() + 100.0, id, 1.0});
+      eng.set_core_plan(core, plan);
+    }
+  });
+  Engine engine(cfg, jobs, std::move(policy));
+  ASSERT_EQ(engine.run().stats.jobs_satisfied, 2u);
+  std::vector<JobId> finalized;
+  for (const obs::TraceEvent& e : ring.drain()) {
+    if (e.kind == obs::TraceEvent::Kind::Finalize) finalized.push_back(e.job);
+  }
+  EXPECT_EQ(finalized, (std::vector<JobId>{2, 1}));
+}
+
+// A replan that empties a core's plan mid-segment and arms the sleep
+// transition leaves a live core with nothing pending: the next substep
+// must still park it, though no segment of it ends there.
+TEST(Engine, EmptyPlanWithSleepParksALiveCore) {
+  std::vector<Job> jobs = {
+      {.id = 1, .release = 0.0, .deadline = 1000.0, .demand = 100.0}};
+  EngineConfig cfg = small_config();
+  cfg.power_model.b = 2.0;
+  cfg.power_model.sleep_enabled = true;
+  cfg.power_model.sleep_power = 0.2;
+  int calls = 0;
+  auto policy = std::make_unique<ScriptedPolicy>([&calls](Engine& eng) {
+    ++calls;
+    if (calls == 1) {  // t = 0
+      const JobId id = eng.waiting().front();
+      eng.assign_to_core(id, 0);
+      Schedule plan;
+      plan.push({eng.now(), 900.0, id, 0.1});
+      eng.set_core_plan(0, plan);
+    } else if (calls == 2) {  // t = 100, the first quantum
+      eng.set_core_plan(0, Schedule{});
+      eng.set_core_sleep(0, true);
+    }
+  });
+  Engine engine(cfg, jobs, std::move(policy));
+  const RunStats s = engine.run().stats;
+  ASSERT_GE(calls, 2);
+  // Core 0 runs [0, 100], idles awake through the substep [100, 200]
+  // that ends at the next quantum, then sleeps to the last deadline;
+  // core 1 idles awake throughout.
+  EXPECT_NEAR(s.active_ms, 100.0, 1e-9);
+  EXPECT_NEAR(s.active_idle_ms, 1100.0, 1e-9);
+  EXPECT_NEAR(s.sleep_ms, 800.0, 1e-9);
+  EXPECT_EQ(s.core_wakes, 0u);
 }
 
 TEST(Engine, PowerBudgetViolationDies) {
