@@ -18,17 +18,12 @@
 // in tests/golden/engine_runstats.txt.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_util.hpp"
 #include "multicore/baseline_scheduler.hpp"
 #include "multicore/des_scheduler.hpp"
 #include "sim/engine.hpp"
@@ -37,6 +32,7 @@
 namespace {
 
 using namespace qes;
+using test::Fnv1a;
 
 struct GoldenCase {
   std::string name;
@@ -44,17 +40,6 @@ struct GoldenCase {
   /// FNV-1a over RunResult::executed; set only for record_execution runs.
   std::optional<std::uint64_t> executed_digest;
   std::size_t executed_segments = 0;
-};
-
-/// FNV-1a over every executed segment's core, bit patterns and job id.
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void add(std::uint64_t v) {
-    for (int k = 0; k < 8; ++k) {
-      h ^= (v >> (8 * k)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  }
 };
 
 GoldenCase run_case(std::string name, EngineConfig cfg,
@@ -70,10 +55,10 @@ GoldenCase run_case(std::string name, EngineConfig cfg,
     for (std::size_t core = 0; core < r.executed.size(); ++core) {
       for (const Segment& s : r.executed[core].segments()) {
         d.add(core);
-        d.add(std::bit_cast<std::uint64_t>(s.t0));
-        d.add(std::bit_cast<std::uint64_t>(s.t1));
+        d.add_bits(s.t0);
+        d.add_bits(s.t1);
         d.add(s.job);
-        d.add(std::bit_cast<std::uint64_t>(s.speed));
+        d.add_bits(s.speed);
         ++out.executed_segments;
       }
     }
@@ -210,106 +195,27 @@ std::vector<GoldenCase> golden_cases() {
   return out;
 }
 
-// Every RunStats field as a named double (integers convert exactly).
-std::vector<std::pair<std::string, double>> fields(const RunStats& s) {
-  return {
-      {"total_quality", s.total_quality},
-      {"max_quality", s.max_quality},
-      {"normalized_quality", s.normalized_quality},
-      {"dynamic_energy", s.dynamic_energy},
-      {"static_energy", s.static_energy},
-      {"peak_power", s.peak_power},
-      {"end_time", s.end_time},
-      {"jobs_total", static_cast<double>(s.jobs_total)},
-      {"jobs_satisfied", static_cast<double>(s.jobs_satisfied)},
-      {"jobs_partial", static_cast<double>(s.jobs_partial)},
-      {"jobs_zero", static_cast<double>(s.jobs_zero)},
-      {"jobs_discarded_rigid", static_cast<double>(s.jobs_discarded_rigid)},
-      {"mean_latency", s.mean_latency},
-      {"p50_latency", s.p50_latency},
-      {"p95_latency", s.p95_latency},
-      {"p99_latency", s.p99_latency},
-      {"replans", static_cast<double>(s.replans)},
-      {"wake_energy", s.wake_energy},
-      {"core_wakes", static_cast<double>(s.core_wakes)},
-      {"active_ms", s.active_ms},
-      {"active_idle_ms", s.active_idle_ms},
-      {"sleep_ms", s.sleep_ms},
-  };
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hex_bits(double v) {
-  return hex64(std::bit_cast<std::uint64_t>(v));
-}
-
-/// One golden line: `<case> <field> <hex> <decimal>`. Stats fields carry
-/// their IEEE-754 bits; the executed digest carries the FNV-1a hash and
+/// Every pinned line of one case: its RunStats fields by bit pattern,
+/// then (record_execution runs only) the executed-segment digest with
 /// the segment count.
-struct Row {
-  std::string field;
-  std::string hex;
-  std::string decimal;
-};
-
-std::vector<Row> rows(const GoldenCase& c) {
-  std::vector<Row> out;
-  for (const auto& [field, value] : fields(c.stats)) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    out.push_back({field, hex_bits(value), buf});
+std::vector<test::GoldenRow> rows(const GoldenCase& c) {
+  std::vector<test::GoldenRow> out;
+  for (const auto& [field, value] : test::run_stats_fields(c.stats)) {
+    out.push_back(test::bits_row(c.name, field, value));
   }
   if (c.executed_digest) {
-    out.push_back({"executed_digest", hex64(*c.executed_digest),
-                   std::to_string(c.executed_segments)});
+    out.push_back(test::digest_row(c.name, "executed_digest",
+                                   *c.executed_digest, c.executed_segments));
   }
   return out;
 }
 
 TEST(SimEngineGolden, RunStatsBitwiseStable) {
-  const std::vector<GoldenCase> cases = golden_cases();
-
-  if (std::getenv("QES_GOLDEN_DUMP") != nullptr) {
-    for (const GoldenCase& c : cases) {
-      for (const Row& r : rows(c)) {
-        std::printf("%s %s %s %s\n", c.name.c_str(), r.field.c_str(),
-                    r.hex.c_str(), r.decimal.c_str());
-      }
-    }
-    GTEST_SKIP() << "dump mode: golden table printed to stdout";
+  std::vector<test::GoldenRow> all;
+  for (const GoldenCase& c : golden_cases()) {
+    for (test::GoldenRow& r : rows(c)) all.push_back(std::move(r));
   }
-
-  std::ifstream in(QES_GOLDEN_FILE);
-  ASSERT_TRUE(in.good()) << "golden file missing: " << QES_GOLDEN_FILE;
-  std::map<std::string, std::string> golden;  // "case field" -> hex
-  std::string case_name, field, hex, decimal;
-  while (in >> case_name >> field >> hex >> decimal) {
-    golden[case_name + " " + field] = hex;
-  }
-  ASSERT_FALSE(golden.empty());
-
-  std::size_t checked = 0;
-  for (const GoldenCase& c : cases) {
-    for (const Row& r : rows(c)) {
-      const auto it = golden.find(c.name + " " + r.field);
-      ASSERT_NE(it, golden.end())
-          << "golden file lacks " << c.name << " " << r.field
-          << " (regenerate with QES_GOLDEN_DUMP=1)";
-      EXPECT_EQ(it->second, r.hex)
-          << c.name << "." << r.field << " drifted: golden " << it->second
-          << ", got " << r.hex << " (" << r.decimal << ")";
-      ++checked;
-    }
-  }
-  // Every golden line is checked: a case dropped from the list above
-  // must be dropped from the file too.
-  EXPECT_EQ(checked, golden.size());
+  test::check_golden_table(QES_GOLDEN_FILE, all);
 }
 
 // The pinned cases must actually reach the branches they are there for.
