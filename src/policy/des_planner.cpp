@@ -1,7 +1,9 @@
 #include "policy/des_planner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -35,47 +37,88 @@ void DesPlanner::canonicalize(WorldView& view) {
   }
 }
 
-void DesPlanner::budget_free_core_into(const CoreView& core, Time now,
-                                       const PowerModel& pm, BudgetFree& out) {
+namespace {
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+}  // namespace
+
+const BudgetFree& DesPlanner::budget_free_core_into(const WorldView& view,
+                                                    std::size_t core) {
+  QES_ASSERT(view.power_model != nullptr && core < view.cores.size());
+  if (free_plans_.size() != view.cores.size()) {
+    // A core-count change starts every slot afresh: no key survives into
+    // a view whose cores it may not describe. (A default slot is
+    // consistent: its all-zero, job-less key is an input whose step 2
+    // is the default BudgetFree.)
+    free_plans_.assign(view.cores.size(), BudgetFree{});
+    step2_keys_.assign(view.cores.size(), Step2Key{});
+  }
   // Budget-free per-core YDS (DES step 2): remaining demands, all
   // released now. Yields the plan, its power request at `now`, and its
   // top speed.
+  //
+  // The memo key is every input step 2 reads: the bits of `now`, of the
+  // power model's a and beta (dynamic_power's only fields), and of each
+  // (id, deadline, remaining) handed to YDS, in view order. Step 2 reads
+  // nothing else — not speed_cap, weight or partial_ok — and a read of
+  // any other field must grow this key. The key is written through while
+  // it is compared, so a miss leaves the new key (the YDS input list)
+  // in place without a second pass.
+  const Time now = view.now;
+  const PowerModel& pm = *view.power_model;
+  Step2Key& key = step2_keys_[core];
+  bool hit = same_bits(key.now, now) && same_bits(key.a, pm.a) &&
+             same_bits(key.beta, pm.beta);
+  key.now = now;
+  key.a = pm.a;
+  key.beta = pm.beta;
+  std::vector<Job>& jobs = key.jobs;
+  std::size_t n = 0;
+  for (const ViewJob& vj : view.cores[core].jobs) {
+    const Work remaining = vj.demand - vj.processed;
+    if (remaining <= kTimeEps) continue;
+    if (n == jobs.size()) {
+      hit = false;
+      jobs.emplace_back();
+    }
+    // Field by field: a whole-Job copy goes through a stack temporary
+    // whose wide reloads stall on store forwarding, once per job.
+    Job& k = jobs[n++];
+    hit = hit && k.id == vj.id && same_bits(k.deadline, vj.deadline) &&
+          same_bits(k.demand, remaining);
+    k.id = vj.id;
+    k.release = now;
+    k.deadline = vj.deadline;
+    k.demand = remaining;
+  }
+  hit = hit && n == jobs.size();
+  jobs.resize(n);
+
+  BudgetFree& out = free_plans_[core];
+  if (hit) return out;
   out.plan.clear();
   out.power_at_now = 0.0;
   out.max_speed = 0.0;
-  std::vector<Job>& jobs = jobs_tmp_;
-  jobs.clear();
-  jobs.reserve(core.jobs.size());
-  for (const ViewJob& vj : core.jobs) {
-    const Work remaining = vj.demand - vj.processed;
-    if (remaining <= kTimeEps) continue;
-    jobs.push_back(Job{.id = vj.id,
-                       .release = now,
-                       .deadline = vj.deadline,
-                       .demand = remaining});
-  }
-  if (jobs.empty()) return;
+  if (jobs.empty()) return out;
   set_tmp_.assign(jobs);
   yds_schedule_into(set_tmp_, yds_scratch_, yds_out_);
   out.max_speed = yds_out_.critical_speed;
   out.power_at_now = pm.dynamic_power(yds_out_.schedule.speed_at(now));
   out.plan = yds_out_.schedule;
-}
-
-BudgetFree DesPlanner::budget_free(const WorldView& view, std::size_t core) {
-  QES_ASSERT(view.power_model != nullptr && core < view.cores.size());
-  BudgetFree out;
-  budget_free_core_into(view.cores[core], view.now, *view.power_model, out);
   return out;
 }
 
+BudgetFree DesPlanner::budget_free(const WorldView& view, std::size_t core) {
+  return budget_free_core_into(view, core);
+}
+
 Watts DesPlanner::total_power_request(const WorldView& view) {
-  QES_ASSERT(view.power_model != nullptr);
   Watts total = 0.0;
-  BudgetFree f;
-  for (const CoreView& core : view.cores) {
-    budget_free_core_into(core, view.now, *view.power_model, f);
-    total += f.power_at_now;
+  for (std::size_t i = 0; i < view.cores.size(); ++i) {
+    total += budget_free_core_into(view, i).power_at_now;
   }
   return total;
 }
@@ -438,12 +481,9 @@ void DesPlanner::plan_s_dvfs(WorldView& view, const PlanOptions& opt,
   // Step 2 with the chip-wide constraint: every core is granted the
   // hungriest core's request, clamped to the equal share H/m.
   Watts max_request = 0.0;
-  {
-    BudgetFree f;
-    for (std::size_t i = 0; i < m; ++i) {
-      budget_free_core_into(view.cores[i], view.now, pm, f);
-      max_request = std::max(max_request, f.power_at_now);
-    }
+  for (std::size_t i = 0; i < m; ++i) {
+    max_request =
+        std::max(max_request, budget_free_core_into(view, i).power_at_now);
   }
   const Watts common =
       std::min(max_request, view.power_budget / static_cast<double>(m));
@@ -477,11 +517,10 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
   Speed top_speed = 0.0;
   {
     obs::PhaseProfiler::Scope timer(profile_this_ ? yds_hist_ : nullptr);
-    if (free_plans_.size() != m) free_plans_.resize(m);
     for (std::size_t i = 0; i < m; ++i) {
-      budget_free_core_into(view.cores[i], view.now, pm, free_plans_[i]);
-      total_request += free_plans_[i].power_at_now;
-      top_speed = std::max(top_speed, free_plans_[i].max_speed);
+      const BudgetFree& f = budget_free_core_into(view, i);
+      total_request += f.power_at_now;
+      top_speed = std::max(top_speed, f.max_speed);
     }
   }
 

@@ -18,6 +18,21 @@
 // heap allocations (bench/replan_kernel and bench/sim_event_core gate
 // this).
 //
+// Step-2 reuse. DES step 2 (budget-free per-core YDS) is memoized per
+// core index. The key is every input step 2 reads: the bit patterns of
+// `now`, of the power model's a and beta, and of each (id, deadline,
+// remaining demand) it hands to YDS, in view order. Step 2 is a pure
+// function of that key, so a call whose key matches the last one for
+// its core returns the stored BudgetFree without building the job set
+// or running YDS — bit for bit what a recomputation would give. The
+// memo hits where a core's inputs repeat at one instant: the cluster
+// broker asks each node for its power request (total_power_request)
+// and then forces a replan at the same instant, whose plan_c_dvfs finds
+// step 2 already done for every core C-RR did not touch; and broker
+// ticks on a node whose clock has not moved. It never hits in sim::Engine
+// or in qesd, where every replan has a new `now`; there a miss costs
+// only the writes of the new key on top of the computation.
+//
 // Phase timings for every pipeline stage go to the unified histogram
 // family `qes_replan_phase_ms{plane=...,phase=...}` — one family for all
 // planes, distinguished by the `plane` label passed at construction.
@@ -167,13 +182,15 @@ class DesPlanner {
   /// request, clamped to the equal share H/m.
   void plan_s_dvfs(WorldView& view, const PlanOptions& opt, PlanOutcome& out);
 
-  /// DES step 2 for one (canonicalized) core — exposed for the cluster
-  /// power_request signal and tests.
+  /// DES step 2 for one (canonicalized) core — exposed for tests. Like
+  /// every step-2 caller it goes through the per-core memo.
   [[nodiscard]] BudgetFree budget_free(const WorldView& view,
                                        std::size_t core);
 
   /// Sum of budget-free power requests over all cores: the total dynamic
-  /// power the node would draw right now were H unlimited.
+  /// power the node would draw right now were H unlimited (the cluster
+  /// broker's load signal). Leaves each core's step 2 in the memo, so a
+  /// plan_* call on the same inputs reuses it.
   [[nodiscard]] Watts total_power_request(const WorldView& view);
 
   /// Sorts every core's job list to (deadline, id) order — arrival order
@@ -192,8 +209,12 @@ class DesPlanner {
     FlatVolumeMap planned;
   };
 
-  void budget_free_core_into(const CoreView& core, Time now,
-                             const PowerModel& pm, BudgetFree& out);
+  /// DES step 2 for core `core` of `view`, memoized per core index (see
+  /// "Step-2 reuse" in the file comment). Every step-2 caller goes
+  /// through here. The result lives in free_plans_[core] until the next
+  /// call for that index.
+  const BudgetFree& budget_free_core_into(const WorldView& view,
+                                          std::size_t core);
   void fixed_speed_plan_into(const CoreView& core, Time now, Speed speed,
                              bool baseline_mode, CorePlan& out);
   void budget_bounded_plan_into(const CoreView& core, Time now,
@@ -241,13 +262,23 @@ class DesPlanner {
   // Defaults true: plan_* calls made without begin_replan_profile()
   // (unit tests, one-shot planning) keep full-rate phase timings.
   bool profile_this_ = true;
+  // Step-2 memo, one slot per core index: free_plans_[i] is the result
+  // of the last step-2 computation for core i, step2_keys_[i] its exact
+  // inputs. A core-count change resets both to default slots.
+  struct Step2Key {
+    Time now = 0.0;
+    double a = 0.0;
+    double beta = 0.0;
+    std::vector<Job> jobs;  // the list handed to YDS (release == now)
+  };
+  std::vector<BudgetFree> free_plans_;
+  std::vector<Step2Key> step2_keys_;
   // Reusable scratch (cleared, never shrunk) covering the full replan:
   // snapshot handling plus the single-core sub-algorithms via their
   // *_into variants; see the zero-allocation note in the file comment.
   std::vector<ReadyJob> ready_;
   std::vector<Work> baselines_;
   std::vector<double> weights_;
-  std::vector<BudgetFree> free_plans_;
   std::vector<Watts> requests_;
   std::vector<Watts> budgets_;
   std::vector<Speed> speeds_;
