@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "core/assert.hpp"
 #include "obs/run_accumulator.hpp"
@@ -155,7 +156,7 @@ void RuntimeCore::expire_due_jobs() {
   }
 }
 
-void RuntimeCore::set_core_plan(int core, Schedule plan) {
+void RuntimeCore::set_core_plan(int core, Schedule& plan) {
   QES_ASSERT(core >= 0 && core < cfg_.cores);
   CoreState& c = cores_[static_cast<std::size_t>(core)];
   plan.check_well_formed();
@@ -184,7 +185,9 @@ void RuntimeCore::set_core_plan(int core, Schedule plan) {
     }
     c.sleep_after = false;
   }
-  c.plan = std::move(plan);
+  // Swap rather than move: `plan` keeps the old plan's buffer, so the
+  // planner's next fill of it reuses that capacity instead of allocating.
+  std::swap(c.plan, plan);
   c.next_seg = 0;
 }
 
@@ -422,7 +425,7 @@ void RuntimeCore::replan() {
     policy::CoreOutcome& c = plan_out_.cores[static_cast<std::size_t>(i)];
     for (JobId id : c.rigid_discards) finalize(id);
     for (JobId id : c.passed_over) finalize(id);
-    set_core_plan(i, std::move(c.plan));
+    set_core_plan(i, c.plan);
     if (sleep_mode_) {
       cores_[static_cast<std::size_t>(i)].sleep_after = c.sleep_after;
     }
