@@ -5,16 +5,21 @@
 // Every replan is timed end to end and through the kernel's own phase
 // histograms (qes_replan_phase_ms{plane="bench"}), so the printed
 // per-phase means are exactly what a live scrape of any plane reports.
+// Each replan's view sits kNowStepMs later than the previous one's, as
+// consecutive replans do in every plane: an identical view would let
+// the planner's step-2 memo (see des_planner.hpp) answer from the last
+// replan, and the yds phase would time a cache hit instead of YDS.
 // A global operator-new counter and a pthread_mutex_lock interposer
-// check the scratch contracts:
+// check the scratch contracts (hard gates, exit 1 on violation):
 //  - refilling the WorldView and resetting the PlanOutcome after warmup
-//    performs ZERO allocations and takes ZERO mutex locks (hard gates,
-//    exit 1 on violation) — the same steady-state discipline the runq
-//    pacing workers are gated on in bench/e2e_latency;
-//  - the full replan's allocation and lock counts are reported per load
-//    level (the single-core sub-algorithms keep their value-returning
-//    interfaces and the phase histograms take an internal mutex per
-//    record, so a full replan is not alloc- or lock-free by design).
+//    performs ZERO allocations and takes ZERO mutex locks — the same
+//    steady-state discipline the runq pacing workers are gated on in
+//    bench/e2e_latency;
+//  - the full replan after warmup performs ZERO allocations: the planner
+//    runs every sub-algorithm through its scratch (*_into) variant. Its
+//    lock count is only reported, because the phase histograms take an
+//    internal mutex per record.
+// ctest runs this binary as the test `replan_kernel`.
 #include <dlfcn.h>
 #include <pthread.h>
 
@@ -79,6 +84,9 @@ int main() {
   constexpr std::size_t kCores = 8;
   constexpr int kReplans = 2000;
   constexpr int kWarmup = 16;
+  // Virtual time between consecutive replans' views (1 µs): small next
+  // to the 50 ms first deadline, so every replan plans the same load.
+  constexpr Time kNowStepMs = 0.001;
   const PowerModel pm = default_power_model();
 
   std::printf("=== DES replan kernel latency ===\n");
@@ -94,8 +102,8 @@ int main() {
   // Steady-state refill: the head job on each core carries prior
   // volume, deadlines are agreeable, demands cycle through a small set
   // so Quality-OPT sees unequal marginal qualities.
-  auto refill = [&](std::size_t jobs_per_core, Watts budget) {
-    view.reset(0.0, budget, kCores);
+  auto refill = [&](std::size_t jobs_per_core, Watts budget, Time now) {
+    view.reset(now, budget, kCores);
     view.power_model = &pm;
     JobId id = 1;
     for (std::size_t c = 0; c < kCores; ++c) {
@@ -111,6 +119,7 @@ int main() {
 
   bool refill_clean = true;
   bool lock_clean = true;
+  bool replan_clean = true;
   std::printf("%-12s %10s %10s %14s %14s %13s %13s\n", "ready_jobs",
               "mean_us", "best_us", "refill_allocs", "refill_locks",
               "replan_allocs", "replan_locks");
@@ -120,7 +129,7 @@ int main() {
     // Pin the budget at half the budget-free request so every replan
     // walks the full pipeline (YDS -> WF -> bounded Online-QE) instead
     // of the all-fits fast path.
-    refill(jobs_per_core, 1.0);
+    refill(jobs_per_core, 1.0, 0.0);
     const Watts budget = 0.5 * planner.total_power_request(view);
 
     double total_ms = 0.0;
@@ -132,7 +141,7 @@ int main() {
     for (int r = 0; r < kWarmup + kReplans; ++r) {
       const std::uint64_t a0 = alloc_count();
       const std::uint64_t l0 = lock_count();
-      refill(jobs_per_core, budget);
+      refill(jobs_per_core, budget, kNowStepMs * static_cast<double>(r + 1));
       out.reset(kCores);
       const std::uint64_t a1 = alloc_count();
       const std::uint64_t l1 = lock_count();
@@ -151,6 +160,7 @@ int main() {
     }
     if (refill_allocs != 0) refill_clean = false;
     if (refill_locks != 0) lock_clean = false;
+    if (replan_allocs != 0) replan_clean = false;
     std::printf("%-12zu %10.2f %10.2f %14llu %14llu %13.1f %13.1f\n", ready,
                 1e3 * total_ms / kReplans, 1e3 * best_ms,
                 static_cast<unsigned long long>(refill_allocs),
@@ -173,5 +183,7 @@ int main() {
   std::printf("\nsteady-state view refill %s the heap and %s\n",
               refill_clean ? "never touches" : "ALLOCATES ON",
               lock_clean ? "takes no mutex locks" : "TAKES MUTEX LOCKS");
-  return (refill_clean && lock_clean) ? 0 : 1;
+  std::printf("steady-state replan %s the heap\n",
+              replan_clean ? "never touches" : "ALLOCATES ON");
+  return (refill_clean && lock_clean && replan_clean) ? 0 : 1;
 }
