@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/power.hpp"
@@ -79,9 +82,8 @@ std::vector<Scenario> scenarios() {
   return s;
 }
 
-PlanOutcome run(DesPlanner& planner, const Scenario& sc) {
-  WorldView v;
-  fill_view(v, sc.budget);
+// Plans the view with the scenario's pipeline.
+PlanOutcome plan(DesPlanner& planner, const Scenario& sc, WorldView& v) {
   PlanOutcome out;
   switch (sc.variant) {
     case 1:
@@ -95,6 +97,12 @@ PlanOutcome run(DesPlanner& planner, const Scenario& sc) {
       break;
   }
   return out;
+}
+
+PlanOutcome run(DesPlanner& planner, const Scenario& sc) {
+  WorldView v;
+  fill_view(v, sc.budget);
+  return plan(planner, sc, v);
 }
 
 // Quality the outcome commits to, accumulated in the consumers' apply
@@ -137,6 +145,7 @@ void expect_same_outcome(const PlanOutcome& a, const PlanOutcome& b,
       EXPECT_EQ(ca.plan[k].speed, cb.plan[k].speed) << name;
     }
     EXPECT_EQ(ca.idle_power, cb.idle_power) << name;
+    EXPECT_EQ(ca.sleep_after, cb.sleep_after) << name;
     EXPECT_EQ(ca.rigid_discards, cb.rigid_discards) << name;
     EXPECT_EQ(ca.passed_over, cb.passed_over) << name;
   }
@@ -214,6 +223,132 @@ TEST(PlannerDifferential, ReusedViewAndOutcomeMatchFreshOnes) {
     DesPlanner fresh;
     const PlanOutcome ref = run(fresh, sc);
     expect_same_outcome(reused_out, ref, sc.name);
+  }
+}
+
+// ---- The step-2 memo (see "Step-2 reuse" in des_planner.hpp) ----
+//
+// A planner reuses a core's budget-free YDS plan when the core's step-2
+// inputs repeat bit for bit. These tests hold a warm planner (one that
+// has just planned related inputs) to a fresh one on the same inputs.
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The memo tests' base view: fill_view at now = 5 ms, with the head job
+// of core 0 17 of its 25 units in. (At fill_view's 6 of 25, one ulp of
+// executed volume rounds away in the remaining demand 19; at 17 of 25 it
+// changes the remaining demand, which is what step 2 reads.)
+void fill_memo_view(WorldView& v, Watts budget, const PowerModel& pm) {
+  fill_view(v, budget);
+  v.now = 5.0;
+  v.power_model = &pm;
+  v.cores[0].jobs[0].processed = 17.0;
+}
+
+TEST(PlannerStep2Memo, PowerRequestThenReplanMatchesAFreshReplan) {
+  // The cluster broker's sequence: a node's power request, then the
+  // replan it forces at the same instant on the same queues. The replan
+  // reuses the request's step 2 and must plan exactly what a planner
+  // that never saw the request plans.
+  const PowerModel pm = default_power_model();
+  for (const Scenario& sc : scenarios()) {
+    DesPlanner warm;
+    WorldView v;
+    fill_memo_view(v, sc.budget, pm);
+    const Watts request = warm.total_power_request(v);
+    const PlanOutcome reused = plan(warm, sc, v);
+
+    DesPlanner fresh;
+    WorldView ref;
+    fill_memo_view(ref, sc.budget, pm);
+    expect_same_outcome(reused, plan(fresh, sc, ref), sc.name);
+    DesPlanner fresh_request;
+    fill_memo_view(ref, sc.budget, pm);
+    EXPECT_TRUE(same_bits(request, fresh_request.total_power_request(ref)))
+        << sc.name;
+  }
+}
+
+// One change to the base inputs: the view and, in place, the power
+// model the view points at.
+struct Step2Change {
+  const char* name;
+  void (*apply)(WorldView& v, PowerModel& pm);
+};
+
+std::vector<Step2Change> step2_changes() {
+  return {
+      {"now_one_ulp",
+       [](WorldView& v, PowerModel&) {
+         v.now = std::nextafter(v.now, 1e300);
+       }},
+      {"processed_one_ulp",
+       [](WorldView& v, PowerModel&) {
+         Work& p = v.cores[0].jobs[0].processed;
+         p = std::nextafter(p, 1e300);
+       }},
+      {"deadline",
+       [](WorldView& v, PowerModel&) { v.cores[0].jobs[2].deadline += 1.0; }},
+      {"id",
+       [](WorldView& v, PowerModel&) { v.cores[0].jobs[1].id = 9; }},
+      {"job_added",
+       [](WorldView& v, PowerModel&) {
+         v.cores[1].jobs.push_back(
+             {.id = 6, .deadline = 120.0, .demand = 30.0});
+       }},
+      {"job_removed",
+       [](WorldView& v, PowerModel&) { v.cores[0].jobs.pop_back(); }},
+      {"pm_a", [](WorldView&, PowerModel& pm) { pm.a *= 1.25; }},
+      {"pm_beta", [](WorldView&, PowerModel& pm) { pm.beta = 2.5; }},
+      {"core_added",
+       [](WorldView& v, PowerModel&) {
+         v.cores.emplace_back();
+         v.cores.back().jobs.push_back(
+             {.id = 6, .deadline = 60.0, .demand = 20.0});
+       }},
+      {"core_removed",
+       [](WorldView& v, PowerModel&) { v.cores.pop_back(); }},
+  };
+}
+
+TEST(PlannerStep2Memo, EveryKeyFieldChangeMatchesAFreshPlanner) {
+  // Warm a planner on the base inputs (its power request and a replan,
+  // as a broker tick does), then change one step-2 input. Whatever the
+  // memo keeps from the base must not leak into the changed inputs'
+  // plans or power request.
+  for (const Scenario& sc : scenarios()) {
+    for (const Step2Change& change : step2_changes()) {
+      const std::string name = std::string(sc.name) + "/" + change.name;
+      PowerModel pm = default_power_model();
+      DesPlanner warm;
+      WorldView v;
+      fill_memo_view(v, sc.budget, pm);
+      (void)warm.total_power_request(v);
+      (void)plan(warm, sc, v);
+
+      // The changed inputs. The power model changes in place, at the
+      // address the warm planner has already seen.
+      WorldView changed;
+      fill_memo_view(changed, sc.budget, pm);
+      change.apply(changed, pm);
+
+      // On the warm planner: a replan, then a request. Planning may
+      // erase jobs from its view, so each call gets a copy.
+      v = changed;
+      const PlanOutcome warm_out = plan(warm, sc, v);
+      v = changed;
+      const Watts warm_request = warm.total_power_request(v);
+
+      DesPlanner fresh;
+      v = changed;
+      expect_same_outcome(warm_out, plan(fresh, sc, v), name.c_str());
+      DesPlanner fresh_request;
+      v = changed;
+      EXPECT_TRUE(same_bits(warm_request, fresh_request.total_power_request(v)))
+          << name;
+    }
   }
 }
 
