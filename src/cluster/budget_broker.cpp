@@ -1,8 +1,8 @@
 #include "cluster/budget_broker.hpp"
 
+#include <algorithm>
 #include <span>
 
-#include "alloc/waterfill.hpp"
 #include "core/assert.hpp"
 
 namespace qes::cluster {
@@ -25,14 +25,23 @@ BrokerSplit broker_split(const std::vector<Watts>& demands,
 BrokerSplit broker_split(const std::vector<Watts>& demands,
                          Watts total_budget,
                          const std::vector<Watts>& static_draws) {
+  BrokerSplitScratch scratch;
+  BrokerSplit out;
+  broker_split_into(demands, total_budget, static_draws, scratch, out);
+  return out;
+}
+
+void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
+                       const std::vector<Watts>& static_draws,
+                       BrokerSplitScratch& scratch, BrokerSplit& out) {
   QES_ASSERT(total_budget > 0.0 && !demands.empty());
   QES_ASSERT(static_draws.empty() || static_draws.size() == demands.size());
   const std::size_t n = demands.size();
 
-  std::vector<std::size_t> live;
-  std::vector<Work> caps;
-  live.reserve(n);
-  caps.reserve(n);
+  std::vector<std::size_t>& live = scratch.live;
+  std::vector<Work>& caps = scratch.caps;
+  live.clear();
+  caps.clear();
   Watts static_total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (demands[i] < 0.0) continue;  // dead node
@@ -52,10 +61,10 @@ BrokerSplit broker_split(const std::vector<Watts>& demands,
   // Level 1 of the hierarchy: water-fill the dynamic headroom across the
   // live nodes' demands — the same primitive the per-node replan uses
   // across cores.
-  const WaterfillResult wf =
-      waterfill_volumes(std::span<const Work>(caps), dyn_budget);
+  waterfill_volumes_into(std::span<const Work>(caps), dyn_budget,
+                         scratch.waterfill_scratch, scratch.waterfill);
+  const WaterfillResult& wf = scratch.waterfill;
 
-  BrokerSplit out;
   out.filled.assign(n, 0.0);
   out.budgets.assign(n, 0.0);
   Watts used = 0.0;
@@ -73,7 +82,6 @@ BrokerSplit broker_split(const std::vector<Watts>& demands,
   for (std::size_t i : live) {
     out.budgets[i] = out.filled[i] + std::max(surplus, 0.0);
   }
-  return out;
 }
 
 }  // namespace qes::cluster

@@ -29,8 +29,10 @@
 // routed work before the next decision. The split itself stays pure.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
+#include "alloc/waterfill.hpp"
 #include "core/time.hpp"
 
 namespace qes::cluster {
@@ -63,6 +65,22 @@ struct BrokerSplit {
                                        Watts total_budget,
                                        const std::vector<Watts>& static_draws);
 
+/// Reusable buffers for broker_split_into (contents are implementation
+/// detail; callers just keep one alive across calls).
+struct BrokerSplitScratch {
+  std::vector<std::size_t> live;
+  std::vector<Work> caps;
+  WaterfillScratch waterfill_scratch;
+  WaterfillResult waterfill;
+};
+
+/// Identical arithmetic to broker_split, but fills `out` and draws
+/// temporaries from `scratch`, so a steady-state broker stays off the
+/// heap. `static_draws` may be empty (no static draw).
+void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
+                       const std::vector<Watts>& static_draws,
+                       BrokerSplitScratch& scratch, BrokerSplit& out);
+
 /// The periodic re-water-filling policy: holds the global budget H and
 /// the cadence; the owner (cluster::Cluster live, cluster lockstep in
 /// sim) supplies the clock and the demand reports.
@@ -78,6 +96,12 @@ class BudgetBroker {
       const std::vector<Watts>& demands,
       const std::vector<Watts>& static_draws) const {
     return broker_split(demands, total_budget_, static_draws);
+  }
+
+  void split_into(const std::vector<Watts>& demands,
+                  const std::vector<Watts>& static_draws,
+                  BrokerSplitScratch& scratch, BrokerSplit& out) const {
+    broker_split_into(demands, total_budget_, static_draws, scratch, out);
   }
 
   [[nodiscard]] Watts total_budget() const { return total_budget_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "core/assert.hpp"
 
@@ -28,6 +27,7 @@ Dispatcher::Dispatcher(std::size_t nodes, DispatchPolicy policy,
                        std::uint64_t seed)
     : nodes_(nodes), policy_(policy), rng_(seed) {
   QES_ASSERT(nodes > 0);
+  live_.reserve(nodes);
 }
 
 int Dispatcher::route(std::span<const double> depths) {
@@ -64,8 +64,8 @@ int Dispatcher::route_jsq(std::span<const double> depths) const {
 }
 
 int Dispatcher::route_p2c(std::span<const double> depths) {
-  std::vector<std::size_t> live;
-  live.reserve(nodes_);
+  std::vector<std::size_t>& live = live_;
+  live.clear();
   for (std::size_t i = 0; i < nodes_; ++i) {
     if (!std::isinf(depths[i])) live.push_back(i);
   }

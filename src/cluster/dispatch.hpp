@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/prng.hpp"
 
@@ -58,6 +59,7 @@ class Dispatcher {
   DispatchPolicy policy_;
   std::size_t cursor_ = 0;  // crr's persistent dealing cursor
   Xoshiro256 rng_;
+  std::vector<std::size_t> live_;  // p2c's routable nodes, refilled per call
 };
 
 }  // namespace qes::cluster

@@ -71,18 +71,15 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
 
   // Routing signal: live jobs on the node (what the obs queue-depth
   // gauges report live); infinite depth marks a dead or drained node
-  // unroutable.
-  auto depths = [&] {
-    std::vector<double> d(nn);
+  // unroutable. Refilled in place on every arrival.
+  std::vector<double> depth(nn);
+  auto depths = [&]() -> const std::vector<double>& {
     for (std::size_t i = 0; i < nn; ++i) {
-      if (dead[i] || drained[i]) {
-        d[i] = kInf;
-      } else {
-        const runtime::CoreCounters c = cores[i].counters();
-        d[i] = static_cast<double>(c.waiting + c.assigned);
-      }
+      depth[i] = dead[i] || drained[i]
+                     ? kInf
+                     : static_cast<double>(cores[i].live_jobs());
     }
-    return d;
+    return depth;
   };
 
   auto sample_cluster_power = [&](Time t) {
@@ -105,9 +102,11 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
   // bit-identical to the legacy path.
   const Watts node_static = static_cast<double>(node_cfg.cores) *
                             node_cfg.power_model.b;
+  std::vector<Watts> demands(nn);
+  std::vector<Watts> draws(nn);
+  BrokerSplitScratch split_scratch;
+  BrokerSplit split;
   auto apply_broker = [&](Time t) {
-    std::vector<Watts> demands(nn);
-    std::vector<Watts> draws(nn);
     std::size_t live = 0;
     for (std::size_t i = 0; i < nn; ++i) {
       demands[i] = dead[i] ? -1.0 : cores[i].power_request();
@@ -115,7 +114,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
       if (!dead[i]) ++live;
     }
     if (live == 0) return;
-    const BrokerSplit split = broker.split(demands, draws);
+    broker.split_into(demands, draws, split_scratch, split);
     for (std::size_t i = 0; i < nn; ++i) {
       if (dead[i]) continue;
       const Watts granted = std::max(split.budgets[i], kMinLiveBudget);
@@ -143,6 +142,15 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
     ev = std::min(ev, cores[i].earliest_live_deadline());
     ev = std::min(ev, cores[i].next_plan_event());
     return ev;
+  };
+
+  // Nodes an event advanced or handed work to; they check their
+  // triggers once the event is fully applied.
+  std::vector<bool> touched(nn, false);
+  auto replan_touched = [&] {
+    for (std::size_t i = 0; i < nn; ++i) {
+      if (touched[i] && cores[i].check_triggers()) cores[i].replan();
+    }
   };
 
   const std::size_t n = jobs.size();
@@ -198,7 +206,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
       // Orphans become fresh admissions on the survivors: release now,
       // deadline pushed out by the redispatch window (bumped up to the
       // destination's last deadline to stay agreeable).
-      std::vector<bool> touched(nn, false);
+      touched.assign(nn, false);
       for (const runtime::AbandonedJob& ab : orphans) {
         const int j = dispatcher.route(depths());
         if (j < 0) {
@@ -219,9 +227,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
         dst.submit(nj);
         touched[static_cast<std::size_t>(j)] = true;
       }
-      for (std::size_t i = 0; i < nn; ++i) {
-        if (touched[i] && cores[i].check_triggers()) cores[i].replan();
-      }
+      replan_touched();
       // The dead node's budget is redistributed immediately — the
       // broker reconverges within one period by construction.
       apply_broker(ev.t);
@@ -236,7 +242,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
 
     // Normal node event(s) and/or arrivals at t — each involved node
     // performs exactly run_lockstep's advance/submit/trigger sequence.
-    std::vector<bool> touched(nn, false);
+    touched.assign(nn, false);
     for (std::size_t i = 0; i < nn; ++i) {
       if (!dead[i] && node_event(i) <= t + kTimeEps) {
         cores[i].advance(std::max(t, cores[i].now()));
@@ -258,9 +264,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
       dst.submit(nj);
       ++next;
     }
-    for (std::size_t i = 0; i < nn; ++i) {
-      if (touched[i] && cores[i].check_triggers()) cores[i].replan();
-    }
+    replan_touched();
   }
 
   for (std::size_t i = 0; i < nn; ++i) {

@@ -28,12 +28,17 @@ DesPlanner::DesPlanner(obs::Registry* registry, const std::string& plane)
 }
 
 void DesPlanner::canonicalize(WorldView& view) {
+  const auto by_deadline_then_id = [](const ViewJob& a, const ViewJob& b) {
+    if (a.deadline != b.deadline) return a.deadline < b.deadline;
+    return a.id < b.id;
+  };
   for (CoreView& core : view.cores) {
-    std::sort(core.jobs.begin(), core.jobs.end(),
-              [](const ViewJob& a, const ViewJob& b) {
-                if (a.deadline != b.deadline) return a.deadline < b.deadline;
-                return a.id < b.id;
-              });
+    // Every plane already hands its lists over in this order; ids are
+    // unique, so a sorted list is the one order std::sort could return.
+    if (!std::is_sorted(core.jobs.begin(), core.jobs.end(),
+                        by_deadline_then_id)) {
+      std::sort(core.jobs.begin(), core.jobs.end(), by_deadline_then_id);
+    }
   }
 }
 
@@ -55,6 +60,7 @@ const BudgetFree& DesPlanner::budget_free_core_into(const WorldView& view,
     // is the default BudgetFree.)
     free_plans_.assign(view.cores.size(), BudgetFree{});
     step2_keys_.assign(view.cores.size(), Step2Key{});
+    stretch_energy_.assign(view.cores.size(), std::nullopt);
   }
   // Budget-free per-core YDS (DES step 2): remaining demands, all
   // released now. Yields the plan, its power request at `now`, and its
@@ -99,6 +105,7 @@ const BudgetFree& DesPlanner::budget_free_core_into(const WorldView& view,
 
   BudgetFree& out = free_plans_[core];
   if (hit) return out;
+  stretch_energy_[core].reset();
   out.plan.clear();
   out.power_at_now = 0.0;
   out.max_speed = 0.0;
@@ -206,6 +213,7 @@ void DesPlanner::eager_timetable_into(const CoreView& core, Time now,
 void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
                                     const PowerModel& pm, Time now,
                                     Speed race_cap, Speed critical_speed,
+                                    std::optional<Joules>* stretch_memo,
                                     CoreOutcome& out) {
   if (!opt.race_to_idle || !pm.has_sleep()) return;
   const auto& segs = out.plan.segments();
@@ -234,12 +242,25 @@ void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
     return;
   }
   // Only a core past the cheap exits pays one pow per segment for the
-  // stretched plan's dynamic energy.
+  // stretched plan's dynamic energy, and only once per step-2 plan when
+  // `out.plan` is one (the fast path hands its slot in `stretch_memo`).
   Joules dyn_stretch = 0.0;
-  for (const Segment& s : segs) {
-    dyn_stretch += pm.dynamic_energy(s.speed, s.t1 - s.t0);
+  if (stretch_memo != nullptr && stretch_memo->has_value()) {
+    dyn_stretch = **stretch_memo;
+  } else {
+    for (const Segment& s : segs) {
+      dyn_stretch += pm.dynamic_energy(s.speed, s.t1 - s.t0);
+    }
+    if (stretch_memo != nullptr) *stretch_memo = dyn_stretch;
   }
-  const Joules dyn_race = pm.dynamic_energy(race_speed, race_end - now);
+  // Cores race at few distinct speeds (s* or a shared cap), so the last
+  // race speed's a·s^β is kept, keyed on every bit dynamic_power reads.
+  RacePower& rp = race_power_;
+  if (!same_bits(rp.speed, race_speed) || !same_bits(rp.a, pm.a) ||
+      !same_bits(rp.beta, pm.beta)) {
+    rp = {race_speed, pm.a, pm.beta, pm.dynamic_power(race_speed)};
+  }
+  const Joules dyn_race = joules(rp.power, race_end - now);
   const Joules sleep_saving =
       joules(pm.b - pm.sleep_power, gap_ms) - pm.wake_energy_j;
   if (sleep_saving <= dyn_race - dyn_stretch) return;
@@ -539,17 +560,18 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
       top_speed <= min_core_cap + kTimeEps) {
     // The optimistic schedules fit the budget: everyone completes.
     obs::PhaseProfiler::Scope timer(profile_this_ ? online_qe_hist_ : nullptr);
+    // On the fast path no per-core budget was derived; racing at the
+    // equal share H/m keeps the worst-case aggregate within H.
+    const Speed share_cap =
+        race ? pm.speed_for_dynamic_power(view.power_budget /
+                                          static_cast<double>(m))
+             : 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       out.cores[i].plan = free_plans_[i].plan;
       if (race) {
-        // On the fast path no per-core budget was derived; racing at the
-        // equal share H/m keeps the worst-case aggregate within H.
-        const Speed cap = std::min(
-            pm.speed_for_dynamic_power(view.power_budget /
-                                       static_cast<double>(m)),
-            view.cores[i].speed_cap);
+        const Speed cap = std::min(share_cap, view.cores[i].speed_cap);
         maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
-                           out.cores[i]);
+                           &stretch_energy_[i], out.cores[i]);
       }
     }
     return;
@@ -610,7 +632,7 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
           },
           out.cores[i]);
       if (race) {
-        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
+        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed, nullptr,
                            out.cores[i]);
       }
     }

@@ -31,13 +31,17 @@
 // step 2 already done for every core C-RR did not touch; and broker
 // ticks on a node whose clock has not moved. It never hits in sim::Engine
 // or in qesd, where every replan has a new `now`; there a miss costs
-// only the writes of the new key on top of the computation.
+// only the writes of the new key on top of the computation. Next to each
+// slot sits the step-2 plan's stretched dynamic energy, priced by the
+// first fast-path race-to-idle check that needs it and emptied by every
+// miss, so it is only ever read for the plan it was priced from.
 //
 // Phase timings for every pipeline stage go to the unified histogram
 // family `qes_replan_phase_ms{plane=...,phase=...}` — one family for all
 // planes, distinguished by the `plane` label passed at construction.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -235,8 +239,12 @@ class DesPlanner {
   /// and sets `out.sleep_after`. No-op unless the model has a sleep
   /// state and `opt.race_to_idle` is set. `critical_speed` is
   /// pm.critical_speed(), computed once per planning call.
+  /// `stretch_memo` is the core's stretch-energy slot when `out.plan` is
+  /// its step-2 plan (the fast path), else nullptr: a priced slot is
+  /// read instead of re-pricing the plan, an empty one is filled.
   void maybe_race_to_idle(const PlanOptions& opt, const PowerModel& pm,
                           Time now, Speed race_cap, Speed critical_speed,
+                          std::optional<Joules>* stretch_memo,
                           CoreOutcome& out);
   static void quantize_plan_into(const Schedule& plan, Time now,
                                  const DiscreteSpeedSet& levels, Speed cap,
@@ -273,6 +281,19 @@ class DesPlanner {
   };
   std::vector<BudgetFree> free_plans_;
   std::vector<Step2Key> step2_keys_;
+  // The stretched dynamic energy of free_plans_[i].plan, priced by the
+  // first fast-path race-to-idle check that reaches it; emptied by every
+  // step-2 miss, so it never outlives the plan it was priced from.
+  std::vector<std::optional<Joules>> stretch_energy_;
+  // The last race speed's a·s^β and the bits it was computed from. The
+  // all-zero default is consistent: 0·0^0 == 0.
+  struct RacePower {
+    Speed speed = 0.0;
+    double a = 0.0;
+    double beta = 0.0;
+    Watts power = 0.0;
+  };
+  RacePower race_power_;
   // Reusable scratch (cleared, never shrunk) covering the full replan:
   // snapshot handling plus the single-core sub-algorithms via their
   // *_into variants; see the zero-allocation note in the file comment.

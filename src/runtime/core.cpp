@@ -1,7 +1,9 @@
 #include "runtime/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -189,6 +191,20 @@ void RuntimeCore::set_core_plan(int core, Schedule& plan) {
   // planner's next fill of it reuses that capacity instead of allocating.
   std::swap(c.plan, plan);
   c.next_seg = 0;
+  refresh_seg_power(c);
+}
+
+void RuntimeCore::refresh_seg_power(CoreState& c) const {
+  // An exhausted plan reads as speed 0. Consecutive segments and
+  // re-installed plans often repeat a speed: its stored a·s^β is kept
+  // (the model's a and β never change in a run).
+  const Speed s = c.next_seg < c.plan.size() ? c.plan[c.next_seg].speed : 0.0;
+  if (std::bit_cast<std::uint64_t>(s) ==
+      std::bit_cast<std::uint64_t>(c.seg_speed)) {
+    return;
+  }
+  c.seg_speed = s;
+  c.seg_power = s > 0.0 ? cfg_.power_model.dynamic_power(s) : 0.0;
 }
 
 void RuntimeCore::advance(Time target) {
@@ -213,7 +229,7 @@ void RuntimeCore::advance(Time target) {
         if (!active) continue;  // DVFS-gated cores draw no dynamic power
         ++active_n;
         const Segment& s = c.plan[c.next_seg];
-        const Watts pw = cfg_.power_model.dynamic_power(s.speed);
+        const Watts pw = c.seg_power;
         total_power += pw;
         JobRecord& st = state(s.job);
         st.processed += s.speed * dt;
@@ -263,6 +279,7 @@ void RuntimeCore::advance(Time target) {
 
     // Process segment completions at now_.
     for (CoreState& c : cores_) {
+      const std::size_t first_seg = c.next_seg;
       while (c.next_seg < c.plan.size() &&
              c.plan[c.next_seg].t1 <= now_ + kTimeEps) {
         const Segment done = c.plan[c.next_seg];
@@ -287,6 +304,7 @@ void RuntimeCore::advance(Time target) {
           finalize(done.job);
         }
       }
+      if (c.next_seg != first_seg) refresh_seg_power(c);
       if (sleep_mode_ && c.sleep_after && c.next_seg >= c.plan.size()) {
         // Race-to-idle payoff: the plan ran out flat-out, park now.
         c.sleep_after = false;
@@ -388,6 +406,7 @@ std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
   for (CoreState& c : cores_) {
     c.plan = Schedule{};
     c.next_seg = 0;
+    refresh_seg_power(c);
     c.sleep_after = false;  // nothing left to race for; stay as-is
   }
   return out;
@@ -403,10 +422,11 @@ void RuntimeCore::replan() {
   // Step 1: ready-job distribution (C-RR with the persistent cursor).
   {
     obs::PhaseProfiler::Scope timer(planner_->begin_replan_profile());
-    const std::vector<JobId> waiting(waiting_.begin(), waiting_.end());
-    const auto targets = crr_.distribute(waiting.size());
-    for (std::size_t k = 0; k < waiting.size(); ++k) {
-      assign_to_core(waiting[k], static_cast<int>(targets[k]));
+    replan_waiting_.assign(waiting_.begin(), waiting_.end());
+    crr_.distribute_into(replan_waiting_.size(), replan_targets_);
+    for (std::size_t k = 0; k < replan_waiting_.size(); ++k) {
+      assign_to_core(replan_waiting_[k],
+                     static_cast<int>(replan_targets_[k]));
     }
   }
 
@@ -459,8 +479,7 @@ Watts RuntimeCore::planned_power_now() const {
   Watts total = 0.0;
   for (const CoreState& c : cores_) {
     if (c.next_seg >= c.plan.size()) continue;
-    const Segment& s = c.plan[c.next_seg];
-    if (s.t0 <= now_ + kTimeEps) total += cfg_.power_model.dynamic_power(s.speed);
+    if (c.plan[c.next_seg].t0 <= now_ + kTimeEps) total += c.seg_power;
   }
   return total;
 }

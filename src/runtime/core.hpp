@@ -220,6 +220,12 @@ class RuntimeCore {
 
   [[nodiscard]] CoreCounters counters() const;
 
+  /// Admitted jobs not yet finalized (waiting + assigned): the
+  /// dispatcher's depth signal, read without evaluating planned power.
+  [[nodiscard]] std::size_t live_jobs() const {
+    return jobs_.size() - finalized_count_;
+  }
+
   /// Per-class energy/quality attribution, fed at finalization (class
   /// "abandoned" from abandon_unfinalized()). Mirrors into cfg_.registry
   /// when set; Σ classes reconciles with RunStats.dynamic_energy within
@@ -236,6 +242,11 @@ class RuntimeCore {
   struct CoreState {
     Schedule plan;
     std::size_t next_seg = 0;
+    /// a·s^β of plan[next_seg], 0 once the plan is exhausted, and the
+    /// speed it was evaluated at (0 when exhausted); refreshed by
+    /// refresh_seg_power() wherever next_seg or the plan changes.
+    Watts seg_power = 0.0;
+    Speed seg_speed = 0.0;
     std::deque<JobId> queue;     // live assigned jobs, arrival order
     bool sleep_after = false;    // park when the current plan exhausts
     bool asleep = false;         // parked in the sleep C-state
@@ -248,6 +259,8 @@ class RuntimeCore {
   /// Installs `plan` on `core` by swapping it with the core's current
   /// plan, which `plan` holds on return.
   void set_core_plan(int core, Schedule& plan);
+  /// Re-reads c.seg_power from the segment c.next_seg now names.
+  void refresh_seg_power(CoreState& c) const;
   /// Reduces the live per-core queues to the planner's WorldView
   /// (refilling view_'s buffers in place — no steady-state allocation).
   void build_view() const;
@@ -271,6 +284,9 @@ class RuntimeCore {
   // every core C-RR does not hand new work to.
   mutable policy::WorldView view_;
   policy::PlanOutcome plan_out_;
+  // replan()'s step-1 scratch: the waiting jobs and their C-RR targets.
+  std::vector<JobId> replan_waiting_;
+  std::vector<std::size_t> replan_targets_;
   std::vector<JobCompletion> completions_;  // pending drain_completions()
   obs::EnergyAttribution attribution_;
   std::vector<JobRecord> jobs_;  // index = id - 1

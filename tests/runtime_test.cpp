@@ -1,15 +1,19 @@
 // Tests for the qesd runtime building blocks (virtual clock, admission
-// queue) and the live multi-threaded server. The live tests run
-// time-dilated so a 30-virtual-second serve finishes in ~2 wall seconds.
+// queue, RuntimeCore's planned power) and the live multi-threaded
+// server. The live tests run time-dilated so a 30-virtual-second serve
+// finishes in ~2 wall seconds.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "core/prng.hpp"
 #include "runtime/clock.hpp"
+#include "runtime/core.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/server.hpp"
 #include "workload/demand.hpp"
@@ -101,6 +105,66 @@ TEST(BoundedMpmcQueue, ConcurrentProducersConsumersLoseNothing) {
   const long n = kProducers * kPerProducer;
   EXPECT_EQ(popped.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// RuntimeCore keeps the a·s^β of each core's current plan segment
+// instead of evaluating it per substep. planned_power must still read,
+// bit for bit, dynamic_power of the segment running now: after an
+// install, after a segment completes, after a replan swaps the plan
+// mid-segment, and 0 once the plan runs out.
+TEST(RuntimeCore, PlannedPowerFollowsTheCurrentSegment) {
+  RuntimeConfig rc;
+  rc.cores = 1;
+  rc.quantum_ms = 0.0;
+  RuntimeCore core(rc);
+  const PowerModel& pm = core.config().power_model;
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  // The segment of the installed plan that runs at now().
+  const auto current_speed = [&] {
+    for (const Segment& s : core.plan(0).segments()) {
+      if (s.t0 <= core.now() && core.now() < s.t1) return s.speed;
+    }
+    ADD_FAILURE() << "no segment runs at " << core.now();
+    return 0.0;
+  };
+  const auto expect_power_of_current_segment = [&](const char* when) {
+    const CoreCounters c = core.counters();
+    const Watts expected = pm.dynamic_power(current_speed());
+    EXPECT_TRUE(same_bits(c.planned_power, expected))
+        << when << ": " << c.planned_power << " != " << expected;
+    EXPECT_EQ(core.live_jobs(), c.waiting + c.assigned) << when;
+  };
+
+  // YDS runs the tight job at 5 GHz over [0, 10), then the loose one at
+  // 10/90 GHz until 100: two segments at two speeds.
+  core.submit({.id = 1, .release = 0.0, .deadline = 10.0, .demand = 50.0});
+  core.submit({.id = 2, .release = 0.0, .deadline = 100.0, .demand = 10.0});
+  core.replan();
+  ASSERT_EQ(core.plan(0).size(), 2u);
+  ASSERT_NE(core.plan(0)[0].speed, core.plan(0)[1].speed);
+
+  core.advance(5.0);
+  expect_power_of_current_segment("inside the first segment");
+
+  core.advance(20.0);
+  EXPECT_EQ(core.job(1).phase, JobRecord::Phase::Finalized);
+  expect_power_of_current_segment("after the first segment ended");
+  const Speed before_replan = current_speed();
+
+  // A third job on the same core: the replan swaps in a faster plan
+  // while the second job's segment is running.
+  core.submit({.id = 3, .release = 20.0, .deadline = 100.0, .demand = 80.0});
+  core.replan();
+  ASSERT_NE(current_speed(), before_replan);
+  expect_power_of_current_segment("after a replan mid-segment");
+
+  core.advance(150.0);
+  ASSERT_TRUE(core.all_finalized());
+  const CoreCounters done = core.counters();
+  EXPECT_TRUE(same_bits(done.planned_power, 0.0)) << done.planned_power;
+  EXPECT_EQ(core.live_jobs(), 0u);
 }
 
 ServerConfig test_server_config(double time_scale) {
