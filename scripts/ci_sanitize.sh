@@ -2,7 +2,8 @@
 # Builds and runs the test suite under BOTH ThreadSanitizer and
 # Address+UBSanitizer in one invocation (the qesd runtime and the obs
 # layer are concurrent; sanitizer-cleanliness is an acceptance
-# criterion, not a nice-to-have).
+# criterion, not a nice-to-have). Both trees build with -DQES_WERROR=ON,
+# so a new compiler warning fails the run too.
 #
 # The obs label covers the whole scrape plane: the HTTP exporter smoke
 # tests (live /metrics scrapes against the runtime server and the
@@ -69,18 +70,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The planner kernel headers are the contract every execution plane
-# builds against (sim adapter, qesd runtime, cluster lockstep), so each
-# must compile as its own translation unit — no hidden include-order
-# dependencies.
-echo "=== policy header self-containment ==="
+# The planner kernel headers, the energy ledger and the budget broker
+# are the contracts every execution plane builds against (sim adapter,
+# qesd runtime, cluster lockstep, live cluster), so each must compile as
+# its own translation unit — no hidden include-order dependencies.
+echo "=== shared header self-containment ==="
 tu="$(mktemp --suffix=.cpp)"
 trap 'rm -f "${tu}"' EXIT
-for hpp in src/policy/*.hpp; do
+for hpp in src/policy/*.hpp src/obs/energy_ledger.hpp \
+           src/cluster/budget_broker.hpp; do
   echo "  ${hpp}"
-  printf '#include "policy/%s"\n' "$(basename "${hpp}")" > "${tu}"
+  printf '#include "%s"\n' "${hpp#src/}" > "${tu}"
   "${CXX:-c++}" -std=c++20 -fsyntax-only -Isrc "${tu}"
 done
+
+# Energy integration hits only one file (src/obs/energy_ledger.hpp): the
+# planes call the ledger and hold no static, sleep or wake arithmetic of
+# their own.
+echo "=== energy arithmetic only in the ledger ==="
+if grep -nF -e sleep_power -e wake_energy_j -e power_model.b \
+     src/sim/engine.cpp src/runtime/core.cpp; then
+  echo "energy arithmetic outside obs::EnergyLedger (see above)" >&2
+  exit 1
+fi
 
 # A leading `thread` or `address` selects a single sanitizer; any other
 # first argument (or none) runs both, and every remaining argument is
@@ -93,8 +105,13 @@ esac
 for san in "${sanitizers[@]}"; do
   build="build-${san}san"
   echo "=== ${san} sanitizer -> ${build} ==="
-  cmake -B "${build}" -S . -DQES_SANITIZE="${san}" \
-    -DQES_BUILD_BENCH=OFF -DQES_BUILD_EXAMPLES=OFF >/dev/null
+  # GCC's -Wtsan flags every std::atomic_thread_fence, which TSan does not
+  # model (the ShardSet and FlightRecorder seqlocks use fences): it stays
+  # a warning there; every other warning fails the build.
+  extra=()
+  if [[ "${san}" == thread ]]; then extra=(-DCMAKE_CXX_FLAGS=-Wno-error=tsan); fi
+  cmake -B "${build}" -S . -DQES_SANITIZE="${san}" -DQES_WERROR=ON \
+    "${extra[@]}" -DQES_BUILD_BENCH=OFF -DQES_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "${build}" -j "$(nproc)"
   (cd "${build}" && ctest --output-on-failure -j "$(nproc)" "$@")
 done

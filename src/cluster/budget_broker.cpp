@@ -1,41 +1,22 @@
 #include "cluster/budget_broker.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 
 #include "core/assert.hpp"
 
 namespace qes::cluster {
 
-BudgetBroker::BudgetBroker(Watts total_budget, Time period_ms)
-    : total_budget_(total_budget), period_ms_(period_ms) {
-  QES_ASSERT(total_budget > 0.0 && period_ms > 0.0);
-}
+namespace {
 
-void BudgetBroker::set_total_budget(Watts h) {
-  QES_ASSERT_MSG(h > 0.0, "budget step must keep H positive");
-  total_budget_ = h;
-}
-
-BrokerSplit broker_split(const std::vector<Watts>& demands,
-                         Watts total_budget) {
-  return broker_split(demands, total_budget, {});
-}
-
-BrokerSplit broker_split(const std::vector<Watts>& demands,
-                         Watts total_budget,
-                         const std::vector<Watts>& static_draws) {
-  BrokerSplitScratch scratch;
-  BrokerSplit out;
-  broker_split_into(demands, total_budget, static_draws, scratch, out);
-  return out;
-}
-
-void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
-                       const std::vector<Watts>& static_draws,
-                       BrokerSplitScratch& scratch, BrokerSplit& out) {
+// The split with each live node drawing `node_static` W of static power
+// off `total_budget` first, into `out` with temporaries from `scratch`.
+// With node_static == 0 it is the split without draws, bit for bit.
+void split_into(const std::vector<Watts>& demands, Watts total_budget,
+                Watts node_static, BrokerSplitScratch& scratch,
+                BrokerSplit& out) {
   QES_ASSERT(total_budget > 0.0 && !demands.empty());
-  QES_ASSERT(static_draws.empty() || static_draws.size() == demands.size());
   const std::size_t n = demands.size();
 
   std::vector<std::size_t>& live = scratch.live;
@@ -47,7 +28,7 @@ void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
     if (demands[i] < 0.0) continue;  // dead node
     live.push_back(i);
     caps.push_back(demands[i]);
-    if (!static_draws.empty()) static_total += static_draws[i];
+    static_total += node_static;
   }
   QES_ASSERT_MSG(!live.empty(), "broker_split needs at least one live node");
 
@@ -82,6 +63,49 @@ void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
   for (std::size_t i : live) {
     out.budgets[i] = out.filled[i] + std::max(surplus, 0.0);
   }
+}
+
+}  // namespace
+
+BudgetBroker::BudgetBroker(Watts total_budget, std::size_t nodes,
+                           Watts node_static)
+    : total_budget_(total_budget),
+      node_static_(node_static),
+      applied_(nodes, total_budget / static_cast<double>(nodes)) {
+  QES_ASSERT(total_budget > 0.0 && nodes > 0 && node_static >= 0.0);
+  changed_.reserve(nodes);
+}
+
+void BudgetBroker::set_total_budget(Watts h) {
+  QES_ASSERT_MSG(h > 0.0, "budget step must keep H positive");
+  total_budget_ = h;
+}
+
+bool BudgetBroker::decide(const std::vector<Watts>& demands) {
+  QES_ASSERT(demands.size() == applied_.size());
+  if (std::none_of(demands.begin(), demands.end(),
+                   [](Watts d) { return d >= 0.0; })) {
+    return false;
+  }
+  split_into(demands, total_budget_, node_static_, scratch_, split_);
+  changed_.clear();
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (demands[i] < 0.0) continue;  // dead: nothing to apply
+    const Watts granted = std::max(split_.budgets[i], kMinLiveBudget);
+    if (std::fabs(granted - applied_[i]) > kBudgetTol) {
+      applied_[i] = granted;
+      changed_.push_back(i);
+    }
+  }
+  return true;
+}
+
+BrokerSplit broker_split(const std::vector<Watts>& demands,
+                         Watts total_budget) {
+  BrokerSplitScratch scratch;
+  BrokerSplit out;
+  split_into(demands, total_budget, /*node_static=*/0.0, scratch, out);
+  return out;
 }
 
 }  // namespace qes::cluster

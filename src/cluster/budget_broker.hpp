@@ -24,9 +24,16 @@
 // lockstep conformance against a standalone server *exact*.
 //
 // A saturated split (zero headroom) can hand an idle live node exactly
-// 0 W; the owners floor the *applied* budget at a negligible positive
-// trickle, because a live RuntimeCore requires budget > 0 and may be
-// routed work before the next decision. The split itself stays pure.
+// 0 W. A live RuntimeCore requires budget > 0 and may be routed work
+// before the next decision, so BudgetBroker::decide floors the *applied*
+// budget at a negligible positive trickle; the split itself stays pure.
+//
+// Static draw (the wall-power broker): each live node burns cores × b
+// whatever its plans say, so the live nodes' draws come off H up front
+// and only the remainder is water-filled across the dynamic demands. The
+// budgets stay dynamic budgets — exactly what
+// RuntimeCore::set_power_budget expects. Dead nodes draw nothing (their
+// sockets are off).
 #pragma once
 
 #include <cstddef>
@@ -46,27 +53,14 @@ struct BrokerSplit {
   std::vector<Watts> budgets;
 };
 
-/// Splits `total_budget` across nodes from their reported demands.
-/// demands[i] < 0 marks node i dead (allocated zero); at least one node
-/// must be live.
+/// Splits `total_budget` across nodes from their reported demands, with
+/// no static draw. demands[i] < 0 marks node i dead (allocated zero); at
+/// least one node must be live.
 [[nodiscard]] BrokerSplit broker_split(const std::vector<Watts>& demands,
                                        Watts total_budget);
 
-/// Static-draw-aware split: `total_budget` is a *wall-power* bound that
-/// also covers each live node's unavoidable static draw (its cores ×
-/// active-idle floor b, or whatever the owner attributes). The live
-/// nodes' draws are subtracted from H up front and only the remainder
-/// is water-filled across the dynamic demands, so the returned budgets
-/// stay dynamic budgets — exactly what RuntimeCore::set_power_budget
-/// expects. Dead nodes contribute no draw (their sockets are off).
-/// With every draw zero this is bit-identical to the overload above,
-/// which keeps the b == 0 lockstep/conformance planes byte-stable.
-[[nodiscard]] BrokerSplit broker_split(const std::vector<Watts>& demands,
-                                       Watts total_budget,
-                                       const std::vector<Watts>& static_draws);
-
-/// Reusable buffers for broker_split_into (contents are implementation
-/// detail; callers just keep one alive across calls).
+/// The split's reusable temporaries (a steady-state broker stays off
+/// the heap).
 struct BrokerSplitScratch {
   std::vector<std::size_t> live;
   std::vector<Work> caps;
@@ -74,47 +68,56 @@ struct BrokerSplitScratch {
   WaterfillResult waterfill;
 };
 
-/// Identical arithmetic to broker_split, but fills `out` and draws
-/// temporaries from `scratch`, so a steady-state broker stays off the
-/// heap. `static_draws` may be empty (no static draw).
-void broker_split_into(const std::vector<Watts>& demands, Watts total_budget,
-                       const std::vector<Watts>& static_draws,
-                       BrokerSplitScratch& scratch, BrokerSplit& out);
-
-/// The periodic re-water-filling policy: holds the global budget H and
-/// the cadence; the owner (cluster::Cluster live, cluster lockstep in
-/// sim) supplies the clock and the demand reports.
+/// The cluster's budget broker: the one decision that turns a split into
+/// the budgets applied to nodes. It holds H, each node's applied budget
+/// and the per-node static draw; the owner (cluster::Cluster live, the
+/// cluster lockstep in sim) runs the cadence, supplies the demand
+/// reports, and pushes changed() into its nodes.
 class BudgetBroker {
  public:
-  BudgetBroker(Watts total_budget, Time period_ms);
+  /// Budget changes at or below this are not applied (no forced replan):
+  /// it absorbs the fp noise of the surplus arithmetic, so an N=1
+  /// cluster — whose split is exactly H every decision — never replans
+  /// off-schedule.
+  static constexpr Watts kBudgetTol = 1e-9;
+  /// Applied-budget floor of a live node (never active for N=1).
+  static constexpr Watts kMinLiveBudget = 1e-9;
 
-  [[nodiscard]] BrokerSplit split(const std::vector<Watts>& demands) const {
-    return broker_split(demands, total_budget_);
+  /// `nodes` nodes, each drawing `node_static` W (cores × b) while live;
+  /// every node starts at the equal share H / nodes.
+  BudgetBroker(Watts total_budget, std::size_t nodes, Watts node_static);
+
+  /// One decision over the nodes' budget-free power requests (negative
+  /// marks a dead node): splits H, floors each live grant at
+  /// kMinLiveBudget, and lists in changed() the live nodes whose applied
+  /// budget moved by more than kBudgetTol. Returns false, changing
+  /// nothing, when no node is live.
+  bool decide(const std::vector<Watts>& demands);
+
+  /// The last decision's pure split — what the owners log (a floored
+  /// grant still reads 0 here).
+  [[nodiscard]] const BrokerSplit& split() const { return split_; }
+  /// Live nodes whose applied budget the last decision changed, in
+  /// ascending order.
+  [[nodiscard]] const std::vector<std::size_t>& changed() const {
+    return changed_;
   }
-
-  [[nodiscard]] BrokerSplit split(
-      const std::vector<Watts>& demands,
-      const std::vector<Watts>& static_draws) const {
-    return broker_split(demands, total_budget_, static_draws);
-  }
-
-  void split_into(const std::vector<Watts>& demands,
-                  const std::vector<Watts>& static_draws,
-                  BrokerSplitScratch& scratch, BrokerSplit& out) const {
-    broker_split_into(demands, total_budget_, static_draws, scratch, out);
-  }
-
+  /// The budget applied to node `i`.
+  [[nodiscard]] Watts budget(std::size_t i) const { return applied_.at(i); }
   [[nodiscard]] Watts total_budget() const { return total_budget_; }
-  [[nodiscard]] Time period_ms() const { return period_ms_; }
 
-  /// Mid-run budget step (brownout / recovery chaos): subsequent splits
-  /// water-fill the new H. The owner must force a re-split immediately
-  /// so no node keeps running against the old bound.
+  /// Mid-run budget step (brownout / recovery chaos): subsequent
+  /// decisions water-fill the new H. The owner must decide again
+  /// immediately so no node keeps running against the old bound.
   void set_total_budget(Watts h);
 
  private:
   Watts total_budget_;
-  Time period_ms_;
+  Watts node_static_;
+  std::vector<Watts> applied_;
+  std::vector<std::size_t> changed_;
+  BrokerSplitScratch scratch_;
+  BrokerSplit split_;
 };
 
 }  // namespace qes::cluster

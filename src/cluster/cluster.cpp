@@ -1,7 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 
@@ -10,38 +9,27 @@
 
 namespace qes::cluster {
 
-namespace {
-
-// Budget pushes below this are skipped (no forced replan on the node);
-// absorbs the broker's surplus-arithmetic fp noise.
-constexpr double kBudgetTol = 1e-9;
-
-// A saturated split can hand an idle live node exactly 0 W, but a live
-// node must keep a positive budget (RuntimeCore requires it, and the
-// node may receive work before the next broker period). The applied
-// budget is floored at a negligible trickle; the logged decision stays
-// the pure water-fill split.
-constexpr Watts kMinLiveBudget = 1e-9;
-
-}  // namespace
-
 Cluster::Cluster(ClusterConfig config)
     : cfg_(std::move(config)),
-      broker_(cfg_.total_budget, cfg_.broker_period_wall_ms),
+      // Each live node draws cores × b whatever its plans say.
+      broker_(cfg_.total_budget,
+              static_cast<std::size_t>(std::max(cfg_.nodes, 1)),
+              static_cast<double>(cfg_.node.model.cores) *
+                  cfg_.node.model.power_model.b),
       profiler_(&registry_, policy::kReplanPhaseMetric,
                 policy::kReplanPhaseHelp, {{"plane", "cluster"}}),
       dispatcher_(static_cast<std::size_t>(std::max(cfg_.nodes, 1)),
                   cfg_.dispatch, cfg_.dispatch_seed) {
   QES_ASSERT(cfg_.nodes >= 1 && cfg_.total_budget > 0.0 &&
              cfg_.broker_period_wall_ms > 0.0);
-  const Watts share = cfg_.total_budget / static_cast<double>(cfg_.nodes);
   nodes_.resize(static_cast<std::size_t>(cfg_.nodes));
   killed_stats_.resize(nodes_.size());
   killed_.assign(nodes_.size(), false);
   int node_id = 0;
   for (Node& n : nodes_) {
     runtime::ServerConfig sc = cfg_.node;
-    sc.model.power_budget = share;
+    // Every node starts at the broker's equal share of H.
+    sc.model.power_budget = broker_.budget(static_cast<std::size_t>(node_id));
     // Stamp the node index so the attribution families
     // (qes_energy_joules_total{class,node} etc.) separate per node.
     sc.model.node_id = node_id;
@@ -61,7 +49,6 @@ Cluster::Cluster(ClusterConfig config)
                            : cfg_.node_listen_base_port + node_id;
     }
     n.server = std::make_unique<runtime::Server>(std::move(sc));
-    n.budget = share;
     ++node_id;
   }
 }
@@ -223,28 +210,20 @@ void Cluster::kill_node(int node) {
 void Cluster::broker_tick_locked() {
   auto timer = profiler_.phase("broker_tick");
   const std::size_t nn = nodes_.size();
-  // Live sockets draw cores × b whatever their plans say; the broker
-  // water-fills only the dynamic headroom H − Σ draws (0.0 with the
-  // default model, which keeps the legacy split bit-identical).
-  const Watts node_static = static_cast<double>(cfg_.node.model.cores) *
-                            cfg_.node.model.power_model.b;
   std::vector<Watts> demands(nn);
-  std::vector<Watts> draws(nn);
   std::size_t live = 0;
   Time t = 0.0;
   for (std::size_t i = 0; i < nn; ++i) {
-    draws[i] = 0.0;
     if (nodes_[i].state == NodeState::Dead) {
       demands[i] = -1.0;
       continue;
     }
     demands[i] = nodes_[i].server->power_request();
-    draws[i] = node_static;
     t = std::max(t, nodes_[i].server->now());
     ++live;
   }
-  if (live == 0) return;
-  const BrokerSplit split = broker_.split(demands, draws);
+  if (!broker_.decide(demands)) return;
+  const BrokerSplit& split = broker_.split();
 
   for (std::size_t i = 0; i < nn; ++i) {
     const obs::Labels label{{"node", std::to_string(i)}};
@@ -256,12 +235,9 @@ void Cluster::broker_tick_locked() {
         .gauge("qes_cluster_node_budget_watts",
                "power budget the broker granted the node", label)
         .set(split.budgets[i]);
-    if (nodes_[i].state == NodeState::Dead) continue;
-    const Watts granted = std::max(split.budgets[i], kMinLiveBudget);
-    if (std::fabs(granted - nodes_[i].budget) > kBudgetTol) {
-      nodes_[i].budget = granted;
-      nodes_[i].server->set_power_budget(granted);
-    }
+  }
+  for (std::size_t i : broker_.changed()) {
+    nodes_[i].server->set_power_budget(broker_.budget(i));
   }
   // Sample only after every node holds its new budget: Σ budgets == H
   // and each node plans within its own budget, so Σ planned <= H.

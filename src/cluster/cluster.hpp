@@ -11,10 +11,10 @@
 //                    the node's own backpressure applies unchanged
 //   broker (1)       every period: read each live node's budget-free
 //                    power request, water-fill H across them
-//                    (BudgetBroker), push changed budgets into the nodes
-//                    (Server::set_power_budget replans under the node's
-//                    model lock), export per-node gauges, and log the
-//                    decision
+//                    (BudgetBroker::decide), push the changed budgets
+//                    into the nodes (Server::set_power_budget replans
+//                    under the node's model lock), export per-node
+//                    gauges, and log the decision
 //   lifecycle        drain_node() marks a node unroutable (it keeps its
 //                    budget share and finishes its queue); kill_node()
 //                    hard-stops it, re-dispatches its orphaned work to
@@ -139,7 +139,6 @@ class Cluster {
   struct Node {
     std::unique_ptr<runtime::Server> server;
     NodeState state = NodeState::Live;
-    Watts budget = 0.0;
   };
 
   void broker_loop();

@@ -12,17 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Budget changes below this are ignored (no forced replan): it absorbs
-// the fp noise of the broker's surplus arithmetic, so an N=1 cluster —
-// whose split is exactly H every tick — never replans off-schedule.
-constexpr double kBudgetTol = 1e-9;
-
-// Applied-budget floor for live nodes: a saturated split gives an idle
-// node 0 W, but RuntimeCore requires a positive budget (and the node
-// may be routed work before the next broker decision). Never active for
-// N=1, where the split is always exactly H.
-constexpr Watts kMinLiveBudget = 1e-9;
-
 }  // namespace
 
 ClusterRunStats run_cluster_lockstep(const LockstepClusterConfig& config,
@@ -51,19 +40,21 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
       chaos.begin(), chaos.end(),
       [](const ChaosEvent& a, const ChaosEvent& b) { return a.t < b.t; }));
 
-  // Every node starts at the broker's zero-demand split: an equal share
-  // of H (== H exactly for N=1, matching a standalone run_lockstep).
+  // Each live node draws cores × b whatever its plans say.
+  BudgetBroker broker(
+      config.total_budget, nn,
+      static_cast<double>(config.node.cores) * config.node.power_model.b);
+  // Every node starts at the broker's equal share of H (== H exactly for
+  // N=1, matching a standalone run_lockstep).
   runtime::RuntimeConfig node_cfg = config.node;
-  node_cfg.power_budget = config.total_budget / static_cast<double>(nn);
+  node_cfg.power_budget = broker.budget(0);
   std::vector<runtime::RuntimeCore> cores;
   cores.reserve(nn);
   for (std::size_t i = 0; i < nn; ++i) cores.emplace_back(node_cfg);
 
   std::vector<bool> dead(nn, false);
   std::vector<bool> drained(nn, false);
-  std::vector<Watts> budget(nn, node_cfg.power_budget);
   Dispatcher dispatcher(nn, config.dispatch, config.dispatch_seed);
-  BudgetBroker broker(config.total_budget, config.broker_period_ms);
 
   ClusterRunStats out;
   out.node_stats.resize(nn);
@@ -96,35 +87,17 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
   // whose budget changed replans immediately (mandatory on decrease so
   // installed plans never exceed the new bound). Drained nodes still get
   // budget: they keep executing their assigned work.
-  // Per-node static draw (cores × active-idle floor b): a live socket
-  // burns it regardless of plans, so the broker subtracts it from H
-  // before water-filling the dynamic demands. 0.0 keeps the split
-  // bit-identical to the legacy path.
-  const Watts node_static = static_cast<double>(node_cfg.cores) *
-                            node_cfg.power_model.b;
   std::vector<Watts> demands(nn);
-  std::vector<Watts> draws(nn);
-  BrokerSplitScratch split_scratch;
-  BrokerSplit split;
   auto apply_broker = [&](Time t) {
-    std::size_t live = 0;
     for (std::size_t i = 0; i < nn; ++i) {
       demands[i] = dead[i] ? -1.0 : cores[i].power_request();
-      draws[i] = dead[i] ? 0.0 : node_static;
-      if (!dead[i]) ++live;
     }
-    if (live == 0) return;
-    broker.split_into(demands, draws, split_scratch, split);
-    for (std::size_t i = 0; i < nn; ++i) {
-      if (dead[i]) continue;
-      const Watts granted = std::max(split.budgets[i], kMinLiveBudget);
-      if (std::fabs(granted - budget[i]) > kBudgetTol) {
-        budget[i] = granted;
-        cores[i].set_power_budget(granted);
-        cores[i].replan();
-      }
+    if (!broker.decide(demands)) return;
+    for (std::size_t i : broker.changed()) {
+      cores[i].set_power_budget(broker.budget(i));
+      cores[i].replan();
     }
-    out.broker_log.push_back({t, split.budgets});
+    out.broker_log.push_back({t, broker.split().budgets});
     sample_cluster_power(t);
   };
 

@@ -6,6 +6,7 @@
 // family is q(x) = (1 - e^{-cx}) / (1 - e^{-1000 c}).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -66,5 +67,27 @@ class QualityFunction {
   std::function<double(Work)> f_;
   bool strictly_concave_ = true;
 };
+
+/// True when `processed` meets `demand` up to the completion tolerance
+/// (kCompletionRelEps relative to max(1, demand)).
+[[nodiscard]] inline bool demand_met(Work processed, Work demand) {
+  return processed + kCompletionRelEps * std::max(1.0, demand) >= demand;
+}
+
+/// Settles a job at finalization, for every plane's job record
+/// (sim::JobState, runtime::JobRecord): clamps the processed volume to
+/// the demand, marks the job satisfied when it met its demand, and
+/// credits weight·f(processed) — or, for an all-or-nothing job,
+/// weight·f(demand) when satisfied and 0 otherwise (paper §II-A).
+template <class JobRecordT>
+void settle_job(JobRecordT& st, const QualityFunction& f) {
+  st.processed = std::min(st.processed, st.job.demand);
+  st.satisfied = demand_met(st.processed, st.job.demand);
+  if (!st.job.partial_ok) {
+    st.quality = st.satisfied ? st.job.weight * f(st.job.demand) : 0.0;
+  } else {
+    st.quality = st.job.weight * f(st.processed);
+  }
+}
 
 }  // namespace qes

@@ -33,10 +33,12 @@
 // per job — the same terms grouped differently — so totals agree with
 // RunStats.dynamic_energy within fp round-off (1e-9 relative; asserted
 // by tests/obs_attribution_test and bench/e2e_latency), never bitwise.
-// The static and wake components are fed verbatim from the engines'
-// accumulators, so dynamic+static+wake reconciles with
-// RunStats.total_energy() to the same bound. The run-level sum's op
-// order is golden-pinned and NOT changed by this layer.
+// The static, wake and residency totals are fed by the plane's
+// obs::EnergyLedger (energy_ledger.hpp) as they accrue, and are the
+// ledger's own accumulators: they equal the RunStats fields bit for
+// bit, so dynamic+static+wake reconciles with RunStats.total_energy()
+// to the same bound. The run-level sum's op order is golden-pinned and
+// NOT changed by this layer.
 //
 // Thread model: a single writer (the sim main loop / the runtime
 // trigger thread under the model lock) calls the on_*() hooks; the

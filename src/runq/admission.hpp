@@ -2,12 +2,11 @@
 // thread-affine producer routing, quota-bounded consumer drains with
 // work stealing at C-RR boundaries, and exact shed/steal ledgers.
 //
-// Replaces the single global BoundedMpmcQueue on the runtime hot path
-// (the old queue stays in src/runtime/mpmc_queue.hpp for
-// conformance/compat paths — see its deprecation note).  Design follows
-// the O(1)-scheduler shape (SNIPPETS #2): per-CPU queues so the common
-// enqueue touches only core-local state, plus occasional stealing when a
-// queue runs dry while a sibling is backlogged.
+// The runtime's one admission path: the ring bound is the backpressure,
+// and a push that times out is counted as shed, ledger-exactly. Design
+// follows the O(1)-scheduler shape (SNIPPETS #2): per-CPU queues so the
+// common enqueue touches only core-local state, plus occasional stealing
+// when a queue runs dry while a sibling is backlogged.
 //
 // Accounting contract (tested exactly, not approximately):
 //   per shard:  pushed == drained_home + drained_stolen + residual

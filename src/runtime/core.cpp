@@ -19,7 +19,6 @@ RuntimeCore::RuntimeCore(RuntimeConfig config)
       planner_(std::make_unique<policy::DesPlanner>(cfg_.registry,
                                                     "runtime")) {
   QES_ASSERT(cfg_.cores > 0 && cfg_.power_budget > 0.0);
-  sleep_mode_ = cfg_.power_model.has_sleep();
   if (cfg_.registry != nullptr) {
     // Pre-register the end-of-run schema (jobs_total by outcome, quality
     // and latency instruments) so a live /metrics scrape sees the full
@@ -27,7 +26,8 @@ RuntimeCore::RuntimeCore(RuntimeConfig config)
     // these same instruments.
     obs::RunAccumulator schema(cfg_.registry, "qesd");
   }
-  attribution_ = obs::EnergyAttribution(cfg_.registry, cfg_.node_id);
+  ledger_ = obs::EnergyLedger(cfg_.power_model, cfg_.cores, cfg_.registry,
+                              cfg_.node_id);
   cores_.resize(static_cast<std::size_t>(cfg_.cores));
   next_quantum_ = cfg_.quantum_ms > 0.0
                       ? cfg_.quantum_ms
@@ -113,22 +113,13 @@ void RuntimeCore::finalize(JobId id) {
     QES_ASSERT(it != q.end());
     q.erase(it);
   }
-  st.processed = std::min(st.processed, st.job.demand);
-  st.satisfied =
-      st.processed + kCompletionRelEps * std::max(1.0, st.job.demand) >=
-      st.job.demand;
-  if (!st.job.partial_ok) {
-    st.quality =
-        st.satisfied ? st.job.weight * cfg_.quality(st.job.demand) : 0.0;
-  } else {
-    st.quality = st.job.weight * cfg_.quality(st.processed);
-  }
+  settle_job(st, cfg_.quality);
   st.phase = JobRecord::Phase::Finalized;
   st.finalized_at = now_;
   ++finalized_count_;
   if (st.satisfied) ++satisfied_count_;
   quality_sum_ += st.quality;
-  attribution_.on_job(st.job.partial_ok, st.energy_j, st.quality);
+  ledger_.attribution().on_job(st.job.partial_ok, st.energy_j, st.quality);
   if (cfg_.record_completions) {
     completions_.push_back(
         {id, st.satisfied, st.quality, now_ - st.job.release});
@@ -173,20 +164,9 @@ void RuntimeCore::set_core_plan(int core, Schedule& plan) {
     QES_ASSERT_MSG(s.speed <= cfg_.max_core_speed + 1e-6,
                    "plan speed exceeds the core's hardware cap");
   }
-  if (sleep_mode_) {
-    // Mirror of sim::Engine::set_core_plan: a sleeping core ignores
-    // empty installs; real work wakes it and pays the transition cost
-    // once (fed into attribution immediately so a mid-run scrape sees
-    // the wake component).
-    if (c.asleep && !plan.empty()) {
-      c.asleep = false;
-      --asleep_count_;
-      wake_energy_ += cfg_.power_model.wake_energy_j;
-      ++wake_count_;
-      attribution_.on_wake(cfg_.power_model.wake_energy_j);
-    }
-    c.sleep_after = false;
-  }
+  // A sleeping core ignores empty installs; real work wakes it.
+  if (!plan.empty()) ledger_.wake(c.asleep);
+  c.sleep_after = false;
   // Swap rather than move: `plan` keeps the old plan's buffer, so the
   // planner's next fill of it reuses that capacity instead of allocating.
   std::swap(c.plan, plan);
@@ -234,9 +214,9 @@ void RuntimeCore::advance(Time target) {
         JobRecord& st = state(s.job);
         st.processed += s.speed * dt;
         // Per-job attribution integrates the same a·s^β terms the
-        // run-level sum below groups by sub-step; Σ jobs therefore
-        // reconciles with dynamic_energy_ within fp round-off only —
-        // the run-level op order is golden-pinned and stays untouched.
+        // ledger's run-level sum groups by sub-step; Σ jobs therefore
+        // reconciles with it within fp round-off only — the run-level
+        // op order is golden-pinned and stays untouched.
         st.energy_j += joules(pw, dt);
         if (cfg_.trace != nullptr) {
           cfg_.trace->push(
@@ -249,31 +229,8 @@ void RuntimeCore::advance(Time target) {
                .speed = s.speed});
         }
       }
-      QES_ASSERT_MSG(total_power <= cfg_.power_budget * (1.0 + 1e-6) + 1e-6,
-                     "instantaneous power exceeded the budget");
-      dynamic_energy_ += joules(total_power, dt);
-      peak_power_ = std::max(peak_power_, total_power);
-      if (sleep_mode_) {
-        // Same piecewise-constant leakage integral as sim::Engine —
-        // asleep_count_ changes only at substep boundaries (the sweep
-        // below) and at plan installs. Deltas go straight into
-        // attribution so a live scrape reconciles mid-run.
-        const PowerModel& pm = cfg_.power_model;
-        const double m = static_cast<double>(cfg_.cores);
-        const double asleep = static_cast<double>(asleep_count_);
-        const Joules static_dj =
-            joules(pm.b * (m - asleep) + pm.sleep_power * asleep, dt);
-        static_energy_ += static_dj;
-        const Time active_dt = static_cast<double>(active_n) * dt;
-        const Time sleep_dt = asleep * dt;
-        const Time idle_dt =
-            (m - asleep - static_cast<double>(active_n)) * dt;
-        res_active_ms_ += active_dt;
-        res_sleep_ms_ += sleep_dt;
-        res_active_idle_ms_ += idle_dt;
-        attribution_.on_static(static_dj);
-        attribution_.on_residency(active_dt, idle_dt, sleep_dt);
-      }
+      ledger_.integrate(total_power, /*idle_w=*/0.0, active_n, dt,
+                        cfg_.power_budget);
       now_ = step_end;
     }
 
@@ -286,9 +243,7 @@ void RuntimeCore::advance(Time target) {
         ++c.next_seg;
         JobRecord& st = state(done.job);
         if (st.phase == JobRecord::Phase::Finalized) continue;
-        const bool complete =
-            st.processed + kCompletionRelEps * std::max(1.0, st.job.demand) >=
-            st.job.demand;
+        const bool complete = demand_met(st.processed, st.job.demand);
         bool more_planned = false;
         for (std::size_t k = c.next_seg; k < c.plan.size(); ++k) {
           if (c.plan[k].job == done.job) {
@@ -305,13 +260,10 @@ void RuntimeCore::advance(Time target) {
         }
       }
       if (c.next_seg != first_seg) refresh_seg_power(c);
-      if (sleep_mode_ && c.sleep_after && c.next_seg >= c.plan.size()) {
+      if (c.sleep_after && c.next_seg >= c.plan.size()) {
         // Race-to-idle payoff: the plan ran out flat-out, park now.
         c.sleep_after = false;
-        if (!c.asleep) {
-          c.asleep = true;
-          ++asleep_count_;
-        }
+        ledger_.park(c.asleep);
       }
     }
 
@@ -401,7 +353,7 @@ std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
     st.abandoned = true;
     st.finalized_at = now_;
     ++finalized_count_;
-    attribution_.on_abandoned(st.energy_j);
+    ledger_.attribution().on_abandoned(st.energy_j);
   }
   for (CoreState& c : cores_) {
     c.plan = Schedule{};
@@ -446,7 +398,7 @@ void RuntimeCore::replan() {
     for (JobId id : c.rigid_discards) finalize(id);
     for (JobId id : c.passed_over) finalize(id);
     set_core_plan(i, c.plan);
-    if (sleep_mode_) {
+    if (ledger_.sleep_mode()) {
       cores_[static_cast<std::size_t>(i)].sleep_after = c.sleep_after;
     }
   }
@@ -493,14 +445,14 @@ CoreCounters RuntimeCore::counters() const {
   c.finalized = finalized_count_;
   c.satisfied = satisfied_count_;
   c.quality_sum = quality_sum_;
-  c.dynamic_energy = dynamic_energy_;
+  c.dynamic_energy = ledger_.dynamic_energy();
   c.planned_power = planned_power_now();
-  c.peak_power = peak_power_;
+  c.peak_power = ledger_.peak_power();
   c.replans = replans_;
-  c.static_energy = static_energy_;
-  c.wake_energy = wake_energy_;
-  c.core_wakes = wake_count_;
-  c.cores_asleep = static_cast<std::size_t>(asleep_count_);
+  c.static_energy = ledger_.attribution().static_energy();
+  c.wake_energy = ledger_.attribution().wake_energy();
+  c.core_wakes = ledger_.wakes();
+  c.cores_asleep = static_cast<std::size_t>(ledger_.asleep());
   return c;
 }
 
@@ -523,21 +475,7 @@ RunStats RuntimeCore::finish(Time end_time) {
                !st.job.partial_ok && !st.satisfied,
                st.finalized_at - st.job.release);
   }
-  // Static energy: integrated state residency under sleep-state
-  // accounting (already streamed into attribution by advance()), else
-  // the exact legacy closed form, fed to attribution once here.
-  const Joules static_e =
-      sleep_mode_ ? static_energy_
-                  : cfg_.cores * cfg_.power_model.b * now_ / 1000.0;
-  if (!sleep_mode_) attribution_.on_static(static_e);
-  RunStats stats =
-      acc.finish(dynamic_energy_, static_e, peak_power_, now_, replans_);
-  stats.wake_energy = wake_energy_;
-  stats.core_wakes = wake_count_;
-  stats.active_ms = res_active_ms_;
-  stats.active_idle_ms = res_active_idle_ms_;
-  stats.sleep_ms = res_sleep_ms_;
-  return stats;
+  return ledger_.finish(acc, now_, replans_);
 }
 
 }  // namespace qes::runtime

@@ -27,7 +27,7 @@
 #include "core/power.hpp"
 #include "core/quality.hpp"
 #include "core/schedule.hpp"
-#include "obs/attribution.hpp"
+#include "obs/energy_ledger.hpp"
 #include "policy/crr.hpp"
 #include "policy/des_planner.hpp"
 #include "policy/world_view.hpp"
@@ -123,7 +123,8 @@ struct CoreCounters {
   Watts peak_power = 0.0;
   std::size_t replans = 0;
   /// Sleep-state accounting (all zero unless the power model has a
-  /// sleep C-state).
+  /// sleep C-state, except that finish() adds the closed-form static
+  /// energy of a model without one).
   Joules static_energy = 0.0;
   Joules wake_energy = 0.0;
   std::size_t core_wakes = 0;
@@ -227,11 +228,12 @@ class RuntimeCore {
   }
 
   /// Per-class energy/quality attribution, fed at finalization (class
-  /// "abandoned" from abandon_unfinalized()). Mirrors into cfg_.registry
-  /// when set; Σ classes reconciles with RunStats.dynamic_energy within
-  /// fp round-off.
+  /// "abandoned" from abandon_unfinalized()), with static, wake and
+  /// residency fed per substep. Mirrors into cfg_.registry when set;
+  /// Σ classes reconciles with RunStats.dynamic_energy within fp
+  /// round-off.
   [[nodiscard]] const obs::EnergyAttribution& attribution() const {
-    return attribution_;
+    return ledger_.attribution();
   }
 
   /// Moves every completion recorded since the last call into `out`
@@ -288,7 +290,7 @@ class RuntimeCore {
   std::vector<JobId> replan_waiting_;
   std::vector<std::size_t> replan_targets_;
   std::vector<JobCompletion> completions_;  // pending drain_completions()
-  obs::EnergyAttribution attribution_;
+  obs::EnergyLedger ledger_;  // energy, C-states and attribution
   std::vector<JobRecord> jobs_;  // index = id - 1
   std::vector<CoreState> cores_;
   std::vector<JobId> waiting_;   // arrived, unassigned, arrival order
@@ -298,23 +300,7 @@ class RuntimeCore {
   double quality_sum_ = 0.0;
   Time now_ = 0.0;
   Time next_quantum_;
-  Joules dynamic_energy_ = 0.0;
-  Watts peak_power_ = 0.0;
   std::size_t replans_ = 0;
-  /// Sleep-state accounting, mirroring sim::Engine: maintained only when
-  /// the power model has a sleep C-state (sleep_mode_); otherwise the
-  /// closed-form static energy in finish() stands untouched. Unlike the
-  /// sim (which feeds attribution once at end of run), advance() feeds
-  /// the static/residency deltas into attribution_ per substep so a live
-  /// /metrics scrape reconciles mid-run.
-  bool sleep_mode_ = false;
-  int asleep_count_ = 0;
-  Joules static_energy_ = 0.0;
-  Joules wake_energy_ = 0.0;
-  std::size_t wake_count_ = 0;
-  Time res_active_ms_ = 0.0;
-  Time res_active_idle_ms_ = 0.0;
-  Time res_sleep_ms_ = 0.0;
 };
 
 }  // namespace qes::runtime

@@ -30,8 +30,8 @@ void Engine::init_runtime() {
   live_.reserve(cores_.size());
   due_.reserve(cores_.size());
   dirty_cores_.reserve(cores_.size());
-  sleep_mode_ = cfg_.power_model.has_sleep();
-  attribution_ = obs::EnergyAttribution(cfg_.registry, /*node=*/0);
+  ledger_ = obs::EnergyLedger(cfg_.power_model, cfg_.cores, cfg_.registry,
+                              /*node=*/0);
 }
 
 Engine::Engine(EngineConfig config, std::vector<Job> jobs,
@@ -201,17 +201,10 @@ void Engine::set_core_plan(int core, const Schedule& plan) {
     QES_ASSERT_MSG(s.speed <= cfg_.core_speed_cap(core) + 1e-6,
                    "plan speed exceeds the core's hardware cap");
   }
-  if (sleep_mode_) {
-    // A sleeping core ignores empty installs (it keeps saving leakage
-    // for free); real work wakes it and pays the transition cost once.
-    if (c.asleep && !plan.empty()) {
-      c.asleep = false;
-      --asleep_count_;
-      wake_energy_ += cfg_.power_model.wake_energy_j;
-      ++wake_count_;
-    }
-    c.sleep_after = false;  // re-armed via set_core_sleep after install
-  }
+  // A sleeping core ignores empty installs (it keeps saving leakage for
+  // free); real work wakes it.
+  if (!plan.empty()) ledger_.wake(c.asleep);
+  c.sleep_after = false;  // re-armed via set_core_sleep after install
   c.plan = plan;  // copy-assign: the slot's capacity is reused
   c.next_seg = 0;
   load_pending(core);
@@ -229,14 +222,14 @@ void Engine::set_core_idle_power(int core, Watts watts) {
 
 void Engine::set_core_sleep(int core, bool sleep_after) {
   QES_ASSERT(core >= 0 && core < cfg_.cores);
-  if (!sleep_mode_) return;
+  if (!ledger_.sleep_mode()) return;
   QES_ASSERT_MSG(!sleep_after ||
                      pending_[static_cast<std::size_t>(core)].idle_w <= 0.0,
                  "a core cannot both burn idle power and park");
   cores_[static_cast<std::size_t>(core)].sleep_after = sleep_after;
 }
 
-void Engine::finalize(JobId id, bool force_zero_quality) {
+void Engine::finalize(JobId id) {
   JobState& st = state(id);
   QES_ASSERT(st.phase != JobState::Phase::Finalized);
   if (st.phase == JobState::Phase::Waiting) {
@@ -248,22 +241,11 @@ void Engine::finalize(JobId id, bool force_zero_quality) {
     QES_ASSERT(it != q.end() && *it == id);
     q.erase(it);
   }
-  st.processed = std::min(st.processed, st.job.demand);
-  st.satisfied =
-      st.processed + kCompletionRelEps * std::max(1.0, st.job.demand) >=
-      st.job.demand;
-  if (force_zero_quality) {
-    st.quality = 0.0;
-  } else if (!st.job.partial_ok) {
-    st.quality =
-        st.satisfied ? st.job.weight * cfg_.quality(st.job.demand) : 0.0;
-  } else {
-    st.quality = st.job.weight * cfg_.quality(st.processed);
-  }
+  settle_job(st, cfg_.quality);
   st.phase = JobState::Phase::Finalized;
   st.finalized_at = now_;
   ++finalized_count_;
-  attribution_.on_job(st.job.partial_ok, st.energy_j, st.quality);
+  ledger_.attribution().on_job(st.job.partial_ok, st.energy_j, st.quality);
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Finalize,
                       .t = now_,
@@ -372,9 +354,9 @@ void Engine::advance_to(Time target) {
           total_power += power;
           js.processed += p.speed * dt;
           // Per-job attribution re-groups the run-level sum's terms
-          // (same cached a·s^β), so Σ jobs + idle reconciles with
-          // dynamic_energy_ within fp round-off; the golden-pinned
-          // run-level accumulation below stays bitwise untouched.
+          // (same cached a·s^β), so Σ jobs + idle reconciles with the
+          // ledger's dynamic energy within fp round-off; the
+          // golden-pinned run-level accumulation stays bitwise untouched.
           js.energy_j += joules(power, dt);
           if (observe) [[unlikely]] log_exec(idx, p, t, step_end);
         } else {
@@ -387,26 +369,7 @@ void Engine::advance_to(Time target) {
           next = std::min(next, boundary_after(p, step_end));
         }
       }
-      QES_ASSERT_MSG(
-          total_power <= cfg_.power_budget * (1.0 + 1e-6) + 1e-6,
-          "instantaneous power exceeded the budget");
-      if (idle_w > 0.0) idle_energy_ += joules(idle_w, dt);
-      dynamic_energy_ += joules(total_power, dt);
-      peak_power_ = std::max(peak_power_, total_power);
-      if (sleep_mode_) {
-        // Leakage is piecewise constant between substep boundaries too:
-        // asleep_count_ changes only in the completion sweep below and
-        // at plan installs (between advance_to calls).
-        const PowerModel& pm = cfg_.power_model;
-        const double m = static_cast<double>(cfg_.cores);
-        const double asleep = static_cast<double>(asleep_count_);
-        static_energy_ +=
-            joules(pm.b * (m - asleep) + pm.sleep_power * asleep, dt);
-        res_active_ms_ += static_cast<double>(active_n) * dt;
-        res_sleep_ms_ += asleep * dt;
-        res_active_idle_ms_ +=
-            (m - asleep - static_cast<double>(active_n)) * dt;
-      }
+      ledger_.integrate(total_power, idle_w, active_n, dt, cfg_.power_budget);
       now_ = step_end;
     } else {
       // A boundary within kTimeEps of now_: no time passes, the sweep
@@ -461,9 +424,7 @@ Time Engine::complete_due_cores() {
         ++c.next_seg;
         JobState& st = state(done.job);
         if (st.phase == JobState::Phase::Finalized) continue;
-        const bool complete =
-            st.processed + kCompletionRelEps * std::max(1.0, st.job.demand) >=
-            st.job.demand;
+        const bool complete = demand_met(st.processed, st.job.demand);
         bool more_planned = false;
         for (std::size_t k = c.next_seg; k < c.plan.size(); ++k) {
           if (c.plan[k].job == done.job) {
@@ -483,13 +444,10 @@ Time Engine::complete_due_cores() {
       mark_dirty(idx);
       next = std::min(next, boundary_after(p, now_));
     }
-    if (sleep_mode_ && c.sleep_after && p.job == nullptr) {
+    if (c.sleep_after && p.job == nullptr) {
       // Race-to-idle payoff: the plan ran out flat-out, park now.
       c.sleep_after = false;
-      if (!c.asleep) {
-        c.asleep = true;
-        ++asleep_count_;
-      }
+      ledger_.park(c.asleep);
     }
     if (p.job == nullptr && !(p.idle_w > 0.0)) {
       c.in_live = false;
@@ -672,23 +630,6 @@ RunResult Engine::run() {
   // runs from r_1 to d_n (matters for No-DVFS, whose cores never sleep).
   advance_to(final_deadline_);
 
-  // Idle power bought no job's quality; attribute it to its own class so
-  // Σ attributed classes still reconciles with dynamic_energy_.
-  attribution_.on_idle(idle_energy_);
-
-  // Static energy: the integrated state residency when the model has a
-  // sleep state, else the closed form over [0, d_n] — the exact legacy
-  // expression, so b > 0 runs without C-states reproduce bit for bit.
-  const Joules static_e =
-      sleep_mode_ ? static_energy_
-                  : cfg_.cores * cfg_.power_model.b * final_deadline_ / 1000.0;
-  attribution_.on_static(static_e);
-  if (sleep_mode_) {
-    attribution_.on_wake(wake_energy_);
-    attribution_.on_residency(res_active_ms_, res_active_idle_ms_,
-                              res_sleep_ms_);
-  }
-
   // End-of-run aggregation, shared with the runtime (src/obs/). Jobs are
   // fed in id order — streaming runs have already fed (and possibly
   // released) a prefix; the order and arithmetic are the same either
@@ -696,13 +637,7 @@ RunResult Engine::run() {
   // the RunStats aggregates and streamed stats match vector-mode stats
   // bit for bit.
   feed_accumulator_upto(jobs_.size());
-  result_.stats = acc_->finish(dynamic_energy_, static_e, peak_power_,
-                               final_deadline_, replan_count_);
-  result_.stats.wake_energy = wake_energy_;
-  result_.stats.core_wakes = wake_count_;
-  result_.stats.active_ms = res_active_ms_;
-  result_.stats.active_idle_ms = res_active_idle_ms_;
-  result_.stats.sleep_ms = res_sleep_ms_;
+  result_.stats = ledger_.finish(*acc_, final_deadline_, replan_count_);
   if (cfg_.record_job_states) {
     // Copy out chunk by chunk, releasing behind the cursor so peak RSS
     // carries one extra chunk, not a second full copy of the table.

@@ -35,7 +35,8 @@
 //      `energy_j += joules(power, dt)` per active core, the power sum in
 //      ascending order — and collects the cores due at the new now_
 //      (segment ends by it, or plan exhausted), while taking the minimum
-//      next boundary of the others;
+//      next boundary of the others; the run-level energy of the substep
+//      then goes through one obs::EnergyLedger::integrate call;
 //   2. a sweep over the due cores only, in ascending order, that
 //      completes segments and finalizes jobs, parks race-to-idle cores,
 //      drops spent cores from the live list and folds their new
@@ -71,7 +72,7 @@
 #include "core/power.hpp"
 #include "core/quality.hpp"
 #include "core/schedule.hpp"
-#include "obs/attribution.hpp"
+#include "obs/energy_ledger.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/job_arena.hpp"
 #include "sim/metrics.hpp"
@@ -262,12 +263,13 @@ class Engine {
   /// model has a sleep state.
   void set_core_sleep(int core, bool sleep_after);
 
-  /// Per-class energy/quality attribution, fed at finalization (idle
-  /// power lands in the "idle" class when run() completes). Mirrors into
-  /// cfg_.registry when set; Σ classes reconciles with
-  /// RunStats.dynamic_energy within fp round-off.
+  /// Per-class energy/quality attribution, fed at finalization, with
+  /// static, wake and residency fed per substep (idle power lands in the
+  /// "idle" class when run() completes). Mirrors into cfg_.registry when
+  /// set; Σ classes reconciles with RunStats.dynamic_energy within fp
+  /// round-off.
   [[nodiscard]] const obs::EnergyAttribution& attribution() const {
-    return attribution_;
+    return ledger_.attribution();
   }
 
  private:
@@ -326,7 +328,7 @@ class Engine {
   /// Completes the segments of the due cores at now_ (the sweep half of
   /// a substep) and returns the earliest next boundary among them.
   Time complete_due_cores();
-  void finalize(JobId id, bool force_zero_quality = false);
+  void finalize(JobId id);
   void expire_due_jobs();
   /// Re-arms queue entries for sources whose candidate time changed
   /// since the last call (push caches keep one entry per source).
@@ -389,25 +391,7 @@ class Engine {
   /// incrementally because streamed prefix state may be released).
   Time final_deadline_ = 0.0;
   Time last_release_ = 0.0;  // stream-contract monotonicity check
-  Joules dynamic_energy_ = 0.0;
-  /// Idle-power share of dynamic_energy_ (S-DVFS/No-DVFS cores with no
-  /// active segment); attributed to the "idle" class at end of run.
-  Joules idle_energy_ = 0.0;
-  Watts peak_power_ = 0.0;
-  /// Sleep-state accounting, maintained only when sleep_mode_. Static
-  /// energy is then the substep integral of b*(m - asleep) +
-  /// sleep_power*asleep; without a sleep state the closed form
-  /// m*b*end_time stands (bitwise compatibility with every b >= 0 run
-  /// predating C-states).
-  bool sleep_mode_ = false;
-  int asleep_count_ = 0;
-  Joules static_energy_ = 0.0;
-  Joules wake_energy_ = 0.0;
-  std::size_t wake_count_ = 0;
-  Time res_active_ms_ = 0.0;
-  Time res_active_idle_ms_ = 0.0;
-  Time res_sleep_ms_ = 0.0;
-  obs::EnergyAttribution attribution_;
+  obs::EnergyLedger ledger_;  // energy, C-states and attribution
   sim::CalendarQueue<Ev> events_{8.0, 256};
   /// Cores with pending segments or positive idle power, ascending, so
   /// power summation keeps the legacy all-cores index order (skipped

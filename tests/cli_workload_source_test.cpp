@@ -34,12 +34,14 @@ void expect_well_formed(const std::vector<Job>& jobs, Time horizon_ms,
     EXPECT_LT(j.release, horizon_ms);
     EXPECT_DOUBLE_EQ(j.deadline, j.release + deadline_ms);
     EXPECT_GT(j.demand, 0.0);
-    if (i > 0) EXPECT_GE(j.release, jobs[i - 1].release);
+    if (i > 0) {
+      EXPECT_GE(j.release, jobs[i - 1].release);
+    }
   }
 }
 
 TEST(WorkloadSource, EverySyntheticRegimeProducesWellFormedJobs) {
-  for (const std::string& regime :
+  for (const char* regime :
        {"poisson", "uniform", "diurnal", "mmpp", "flash"}) {
     SCOPED_TRACE(regime);
     const WorkloadSourceSpec spec = small_spec(regime);

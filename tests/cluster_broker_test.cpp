@@ -5,6 +5,8 @@
 //                  the live nodes, for any demand vector
 //   monotonicity   a node's final budget never decreases when only its
 //                  own reported load grows
+//
+// plus BudgetBroker::decide, which turns a split into applied budgets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,12 +121,55 @@ TEST(BrokerSplit, SingleLiveNodeAlwaysGetsH) {
   EXPECT_NEAR(s.budgets[1], 320.0, 1e-10);
 }
 
-TEST(BudgetBroker, HoldsConfiguration) {
-  const BudgetBroker broker(640.0, 25.0);
-  EXPECT_EQ(broker.total_budget(), 640.0);
-  EXPECT_EQ(broker.period_ms(), 25.0);
-  const BrokerSplit s = broker.split({100.0, 100.0});
-  EXPECT_NEAR(s.budgets[0] + s.budgets[1], 640.0, kTol);
+// BudgetBroker::decide, the one step both cluster drivers call: the
+// split becomes the budgets applied to live nodes, floored at a trickle,
+// with round-off moves skipped and dead nodes never reported.
+TEST(BudgetBroker, DecideAppliesTheSplitToLiveNodes) {
+  using Nodes = std::vector<std::size_t>;
+  // Every node starts at the equal share of H.
+  BudgetBroker broker(300.0, 3, /*node_static=*/0.0);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(broker.budget(i), 100.0);
+
+  // No live node: no decision, and nothing changes.
+  EXPECT_FALSE(broker.decide({-1.0, -1.0, -1.0}));
+  EXPECT_TRUE(broker.changed().empty());
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(broker.budget(i), 100.0);
+
+  // Node 2 saturates H, so the split hands idle node 0 exactly 0 W; the
+  // applied budget is floored at 1e-9 W while the logged split stays 0.
+  // Dead node 1 (split 0 W) keeps its last budget and is never reported.
+  ASSERT_TRUE(broker.decide({0.0, -1.0, 500.0}));
+  EXPECT_EQ(broker.split().budgets[0], 0.0);
+  EXPECT_EQ(broker.split().budgets[1], 0.0);
+  EXPECT_DOUBLE_EQ(broker.split().budgets[2], 300.0);
+  EXPECT_EQ(broker.budget(0), 1e-9);
+  EXPECT_EQ(broker.budget(1), 100.0);
+  EXPECT_DOUBLE_EQ(broker.budget(2), 300.0);
+  EXPECT_EQ(broker.changed(), (Nodes{0, 2}));
+
+  // Moves of at most 1e-9 W are round-off, not decisions: a demand
+  // change of 1e-10 W moves each split by 5e-11 W and applies nothing;
+  // one of 1e-6 W applies to both nodes.
+  BudgetBroker pair(640.0, 2, /*node_static=*/0.0);
+  ASSERT_TRUE(pair.decide({100.0, 100.0}));
+  EXPECT_TRUE(pair.changed().empty());
+  ASSERT_TRUE(pair.decide({100.0, 100.0 + 1e-10}));
+  ASSERT_NE(pair.split().budgets[0], pair.budget(0));
+  EXPECT_TRUE(pair.changed().empty());
+  EXPECT_EQ(pair.budget(0), 320.0);
+  ASSERT_TRUE(pair.decide({100.0, 100.0 + 1e-6}));
+  EXPECT_EQ(pair.changed(), (Nodes{0, 1}));
+
+  // The live nodes' static draw comes off H before the split: two nodes
+  // drawing 10 W each leave 80 W of a 100 W bound; a dead node draws
+  // nothing, so its survivor gets 90 W.
+  BudgetBroker wall(100.0, 2, /*node_static=*/10.0);
+  ASSERT_TRUE(wall.decide({0.0, 0.0}));
+  EXPECT_EQ(wall.budget(0), 40.0);
+  EXPECT_EQ(wall.budget(1), 40.0);
+  ASSERT_TRUE(wall.decide({0.0, -1.0}));
+  EXPECT_EQ(wall.budget(0), 90.0);
+  EXPECT_EQ(wall.changed(), (Nodes{0}));
 }
 
 }  // namespace

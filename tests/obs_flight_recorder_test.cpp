@@ -143,7 +143,8 @@ TEST(FlightRecorder, ConcurrentDumpsStayParseableUnderLoad) {
     writers.emplace_back([&rec, w, &done] {
       std::uint32_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
-        rec.record(static_cast<std::size_t>(w), FlightKind::kDrain, ++i, i);
+        ++i;
+        rec.record(static_cast<std::size_t>(w), FlightKind::kDrain, i, i);
       }
     });
   }

@@ -12,11 +12,13 @@
 //     integral reconciles with it;
 //   - the attribution plane's static/wake/residency streams reconcile
 //     with the model's own accounting mid-run and at finish (the live
-//     scrape acceptance bound, <= 1e-9).
+//     scrape acceptance bound, <= 1e-9), in the runtime and in the sim.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -193,6 +195,60 @@ TEST(PowerAttribution, MidRunScrapeReconciles) {
               kRelTol * std::max(1.0, s.total_energy()));
   EXPECT_NEAR(att.residency_ms(obs::EnergyAttribution::kSleep), s.sleep_ms,
               kRelTol * std::max(1.0, s.sleep_ms));
+}
+
+// The same reconciliation on the simulator: the engine's ledger streams
+// static, wake and residency into attribution per substep, so a scrape
+// at any replan sees the integrals so far, and once the run ends the
+// attribution's totals are RunStats' own figures, bit for bit.
+TEST(PowerAttribution, SimEngineScrapeReconcilesMidRunAndExactlyAtEnd) {
+  // Wraps the DES policy and scrapes the attribution at every replan.
+  class ScrapingPolicy : public SchedulingPolicy {
+   public:
+    ScrapingPolicy(std::unique_ptr<SchedulingPolicy> inner, int* scrapes)
+        : inner_(std::move(inner)), scrapes_(scrapes) {}
+    void replan(Engine& engine) override {
+      const obs::EnergyAttribution& att = engine.attribution();
+      const double core_time =
+          static_cast<double>(engine.cores()) * engine.now();
+      const double residency =
+          att.residency_ms(obs::EnergyAttribution::kActive) +
+          att.residency_ms(obs::EnergyAttribution::kActiveIdle) +
+          att.residency_ms(obs::EnergyAttribution::kSleep);
+      EXPECT_NEAR(residency, core_time, kRelTol * std::max(1.0, core_time))
+          << "scrape at t=" << engine.now();
+      EXPECT_GT(att.static_energy(), 0.0) << "scrape at t=" << engine.now();
+      ++*scrapes_;
+      inner_->replan(engine);
+    }
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+   private:
+    std::unique_ptr<SchedulingPolicy> inner_;
+    int* scrapes_;
+  };
+
+  EngineConfig cfg;
+  cfg.cores = 8;
+  cfg.power_budget = 160.0;
+  cfg.power_model = sleep_model(/*wake_j=*/0.05);
+  DesOptions d;
+  d.race_to_idle = true;
+  int scrapes = 0;
+  Engine engine(cfg, trough_trace(20.0, 20'000.0, 23),
+                std::make_unique<ScrapingPolicy>(make_des_policy(d), &scrapes));
+  const RunStats s = engine.run().stats;
+  EXPECT_GT(scrapes, 50);
+  EXPECT_GT(s.sleep_ms, 0.0);
+  EXPECT_GT(s.core_wakes, 0u);
+
+  const obs::EnergyAttribution& att = engine.attribution();
+  EXPECT_EQ(att.static_energy(), s.static_energy);
+  EXPECT_EQ(att.wake_energy(), s.wake_energy);
+  EXPECT_EQ(att.residency_ms(obs::EnergyAttribution::kActive), s.active_ms);
+  EXPECT_EQ(att.residency_ms(obs::EnergyAttribution::kActiveIdle),
+            s.active_idle_ms);
+  EXPECT_EQ(att.residency_ms(obs::EnergyAttribution::kSleep), s.sleep_ms);
 }
 
 // The live threaded server under a sleep model: sparse traffic with

@@ -1,10 +1,9 @@
 // Runtime-level regression for the runq substrate:
 //
-//  1. The `--producers N` in-process mode (tools/qesd) still reconciles
-//     sheds exactly through the new per-core rings: accepted submits ==
-//     RunStats::jobs_total, rejected submits == Server::shed(), and the
-//     ring ledgers double-entry both — the regression guard the
-//     BoundedMpmcQueue deprecation note points at.
+//  1. The `--producers N` in-process mode (tools/qesd) reconciles sheds
+//     exactly through the per-core rings: accepted submits ==
+//     RunStats::jobs_total, rejected submits == Server::shed() ==
+//     qesd_shed_total, and the ring ledgers double-entry both.
 //  2. Work stealing is live on the server hot path: a single skewed
 //     producer (one hot shard) with a small drain quota leaves a stolen
 //     ledger > 0 while accounting stays exact.
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "core/prng.hpp"
+#include "obs/registry.hpp"
 #include "runq/admission.hpp"
 #include "runtime/conformance.hpp"
 #include "runtime/server.hpp"
@@ -71,6 +71,11 @@ TEST(RunqReconcile, InProcessProducersShedExactly) {
   EXPECT_GT(rejected.load(), 0u) << "burst must overflow the rings";
   EXPECT_EQ(stats.jobs_total, accepted.load());
   EXPECT_EQ(server.shed(), rejected.load());
+  // The scraped shed counter agrees with the server's own.
+  const obs::Counter* shed_c =
+      server.registry().find_counter("qesd_shed_total");
+  ASSERT_NE(shed_c, nullptr);
+  EXPECT_EQ(shed_c->value(), static_cast<double>(server.shed()));
   // The ring ledgers double-entry the same flow.
   const runq::AdmissionLedger led = server.admission_ledger();
   EXPECT_EQ(led.pushed, accepted.load());

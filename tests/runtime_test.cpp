@@ -1,7 +1,7 @@
-// Tests for the qesd runtime building blocks (virtual clock, admission
-// queue, RuntimeCore's planned power) and the live multi-threaded
-// server. The live tests run time-dilated so a 30-virtual-second serve
-// finishes in ~2 wall seconds.
+// Tests for the qesd runtime building blocks (virtual clock,
+// RuntimeCore's planned power) and the live multi-threaded server. The
+// live tests run time-dilated so a 30-virtual-second serve finishes in
+// ~2 wall seconds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "core/prng.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/core.hpp"
-#include "runtime/mpmc_queue.hpp"
 #include "runtime/server.hpp"
 #include "workload/demand.hpp"
 
@@ -39,72 +38,6 @@ TEST(VirtualClock, WallDeadlineInvertsNow) {
   const Time target = clock.now() + 400.0;  // 50 wall ms ahead
   std::this_thread::sleep_until(clock.wall_deadline(target));
   EXPECT_GE(clock.now(), target - 1.0);
-}
-
-TEST(BoundedMpmcQueue, FifoAndCapacity) {
-  BoundedMpmcQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_FALSE(q.push(3, milliseconds(1)));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedMpmcQueue, DrainAppendsInOrder) {
-  BoundedMpmcQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  std::vector<int> out{-1};
-  q.drain(out);
-  ASSERT_EQ(out.size(), 6u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i) + 1], i);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedMpmcQueue, CloseFailsPushesButDrainsBufferedItems) {
-  BoundedMpmcQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(7));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.try_push(8));
-  EXPECT_FALSE(q.push(8, milliseconds(1)));
-  EXPECT_EQ(q.try_pop().value(), 7);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedMpmcQueue, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  BoundedMpmcQueue<int> q(16);  // small: exercises blocking backpressure
-  std::atomic<long> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (popped.load() < kProducers * kPerProducer) {
-        if (auto v = q.try_pop()) {
-          sum.fetch_add(*v);
-          popped.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i, milliseconds(1000)));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const long n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 // RuntimeCore keeps the a·s^β of each core's current plan segment

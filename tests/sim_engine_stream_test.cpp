@@ -80,7 +80,7 @@ RunStats run_streamed(EngineConfig cfg, const cli::WorkloadSourceSpec& spec,
 }
 
 TEST(EngineStream, StreamedStatsMatchVectorBitwise) {
-  for (const std::string& regime :
+  for (const char* regime :
        {"poisson", "uniform", "diurnal", "mmpp", "flash"}) {
     SCOPED_TRACE(regime);
     const cli::WorkloadSourceSpec spec = spec_for(regime);

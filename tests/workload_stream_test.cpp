@@ -85,7 +85,7 @@ TEST(WorkloadStream, FlashStreamMatchesBatch) {
 }
 
 TEST(WorkloadStream, MakeJobStreamMatchesMakeJobsForEveryRegime) {
-  for (const std::string& regime :
+  for (const char* regime :
        {"poisson", "uniform", "diurnal", "mmpp", "flash"}) {
     cli::WorkloadSourceSpec spec;
     spec.regime = regime;
