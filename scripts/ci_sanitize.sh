@@ -70,14 +70,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The planner kernel headers, the energy ledger and the budget broker
-# are the contracts every execution plane builds against (sim adapter,
-# qesd runtime, cluster lockstep, live cluster), so each must compile as
-# its own translation unit — no hidden include-order dependencies.
+# The planner kernel headers, the energy ledger, the job store and the
+# budget broker are the contracts every execution plane builds against
+# (sim adapter, qesd runtime, cluster lockstep, live cluster), so each
+# must compile as its own translation unit — no hidden include-order
+# dependencies.
 echo "=== shared header self-containment ==="
 tu="$(mktemp --suffix=.cpp)"
 trap 'rm -f "${tu}"' EXIT
-for hpp in src/policy/*.hpp src/obs/energy_ledger.hpp \
+for hpp in src/policy/*.hpp src/obs/energy_ledger.hpp src/obs/job_store.hpp \
            src/cluster/budget_broker.hpp; do
   echo "  ${hpp}"
   printf '#include "%s"\n' "${hpp#src/}" > "${tu}"

@@ -4,7 +4,7 @@
 // contract the vector-returning workload generators satisfy (dense ids
 // 1..n, agreeable deadlines), without materializing the whole trace.
 // sim::Engine can consume a stream directly and store only the live
-// window of job states (src/sim/job_arena.hpp), which is what keeps the
+// window of job states (src/obs/job_store.hpp), which is what keeps the
 // 10M-job scenario cells inside a few hundred MB of RSS instead of
 // holding every Job + JobState for the full run.
 //

@@ -74,20 +74,4 @@ class QualityFunction {
   return processed + kCompletionRelEps * std::max(1.0, demand) >= demand;
 }
 
-/// Settles a job at finalization, for every plane's job record
-/// (sim::JobState, runtime::JobRecord): clamps the processed volume to
-/// the demand, marks the job satisfied when it met its demand, and
-/// credits weight·f(processed) — or, for an all-or-nothing job,
-/// weight·f(demand) when satisfied and 0 otherwise (paper §II-A).
-template <class JobRecordT>
-void settle_job(JobRecordT& st, const QualityFunction& f) {
-  st.processed = std::min(st.processed, st.job.demand);
-  st.satisfied = demand_met(st.processed, st.job.demand);
-  if (!st.job.partial_ok) {
-    st.quality = st.satisfied ? st.job.weight * f(st.job.demand) : 0.0;
-  } else {
-    st.quality = st.job.weight * f(st.processed);
-  }
-}
-
 }  // namespace qes

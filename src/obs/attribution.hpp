@@ -5,10 +5,10 @@
 // with an active plan segment, so integrating a · s^β over the segments
 // a job actually ran at partitions the run's dynamic energy across jobs
 // (plus an idle-power residual for the S-DVFS/No-DVFS architectures).
-// The engines keep that integral per job (JobState::energy_j /
-// JobRecord::energy_j) and feed it here at finalization, bucketed by
-// job class — "partial" (partial_ok) vs "rigid" (all-or-nothing), with
-// "abandoned" for node-kill orphans and "idle" for non-job power.
+// Both planes keep that integral per job (JobState::energy_j) and feed
+// it here at finalization, bucketed by job class — "partial"
+// (partial_ok) vs "rigid" (all-or-nothing), with "abandoned" for
+// node-kill orphans and "idle" for non-job power.
 //
 // Mirrored registry families (the SAME names in sim, runtime, and
 // cluster — the node label separates cluster nodes):

@@ -255,12 +255,10 @@ void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
   }
   // Cores race at few distinct speeds (s* or a shared cap), so the last
   // race speed's a·s^β is kept, keyed on every bit dynamic_power reads.
-  RacePower& rp = race_power_;
-  if (!same_bits(rp.speed, race_speed) || !same_bits(rp.a, pm.a) ||
-      !same_bits(rp.beta, pm.beta)) {
-    rp = {race_speed, pm.a, pm.beta, pm.dynamic_power(race_speed)};
-  }
-  const Joules dyn_race = joules(rp.power, race_end - now);
+  const Watts race_power =
+      race_power_.get({race_speed, pm.a, pm.beta},
+                      [&] { return pm.dynamic_power(race_speed); });
+  const Joules dyn_race = joules(race_power, race_end - now);
   const Joules sleep_saving =
       joules(pm.b - pm.sleep_power, gap_ms) - pm.wake_energy_j;
   if (sleep_saving <= dyn_race - dyn_stretch) return;
@@ -553,7 +551,10 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
   // Race-to-idle is live only with a sleep state configured; the guard
   // keeps the b=0 pipelines (and their allocations) bitwise untouched.
   const bool race = opt.race_to_idle && pm.has_sleep() && continuous;
-  const Speed critical_speed = race ? pm.critical_speed() : 0.0;
+  const Speed critical_speed =
+      race ? critical_speed_.get({pm.a, pm.beta, pm.b, pm.sleep_power},
+                                 [&] { return pm.critical_speed(); })
+           : 0.0;
 
   if (continuous && !opt.static_power && !opt.eager_execution &&
       total_request <= view.power_budget + kTimeEps &&
@@ -562,9 +563,10 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
     obs::PhaseProfiler::Scope timer(profile_this_ ? online_qe_hist_ : nullptr);
     // On the fast path no per-core budget was derived; racing at the
     // equal share H/m keeps the worst-case aggregate within H.
+    const Watts share = view.power_budget / static_cast<double>(m);
     const Speed share_cap =
-        race ? pm.speed_for_dynamic_power(view.power_budget /
-                                          static_cast<double>(m))
+        race ? share_cap_.get({share, pm.a, pm.beta},
+                              [&] { return pm.speed_for_dynamic_power(share); })
              : 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       out.cores[i].plan = free_plans_[i].plan;

@@ -41,6 +41,9 @@
 // planes, distinguished by the `plane` label passed at construction.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -238,7 +241,7 @@ class DesPlanner {
   /// wake transition cost — rewrites `out.plan` to the race timetable
   /// and sets `out.sleep_after`. No-op unless the model has a sleep
   /// state and `opt.race_to_idle` is set. `critical_speed` is
-  /// pm.critical_speed(), computed once per planning call.
+  /// pm.critical_speed(), kept across planning calls in critical_speed_.
   /// `stretch_memo` is the core's stretch-energy slot when `out.plan` is
   /// its step-2 plan (the fast path), else nullptr: a priced slot is
   /// read instead of re-pricing the plan, an empty one is filled.
@@ -285,15 +288,33 @@ class DesPlanner {
   // first fast-path race-to-idle check that reaches it; emptied by every
   // step-2 miss, so it never outlives the plan it was priced from.
   std::vector<std::optional<Joules>> stretch_energy_;
-  // The last race speed's a·s^β and the bits it was computed from. The
-  // all-zero default is consistent: 0·0^0 == 0.
-  struct RacePower {
-    Speed speed = 0.0;
-    double a = 0.0;
-    double beta = 0.0;
-    Watts power = 0.0;
+  // The last value of a pure function of N doubles and the bits of the
+  // arguments it was computed from: a call with the same bits returns
+  // it instead of paying the pow inside. The all-zero default is
+  // consistent for every use below, since each function maps all-zero
+  // arguments to 0.
+  template <std::size_t N>
+  struct LastValue {
+    std::array<double, N> args{};
+    double value = 0.0;
+
+    template <typename F>
+    double get(const std::array<double, N>& a, F compute) {
+      if (std::bit_cast<std::array<std::uint64_t, N>>(a) !=
+          std::bit_cast<std::array<std::uint64_t, N>>(args)) {
+        args = a;
+        value = compute();
+      }
+      return value;
+    }
   };
-  RacePower race_power_;
+  // The race speed's a·s^β, keyed on (speed, a, β).
+  LastValue<3> race_power_;
+  // pm.critical_speed(), keyed on (a, β, b, sleep_power).
+  LastValue<4> critical_speed_;
+  // The fast path's equal-share race cap speed_for_dynamic_power(H/m),
+  // keyed on (H/m, a, β).
+  LastValue<3> share_cap_;
   // Reusable scratch (cleared, never shrunk) covering the full replan:
   // snapshot handling plus the single-core sub-algorithms via their
   // *_into variants; see the zero-allocation note in the file comment.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/assert.hpp"
 #include "multicore/des_scheduler.hpp"
@@ -19,11 +20,14 @@ double ConformanceResult::energy_rel_diff() const {
   return std::fabs(sim.dynamic_energy - runtime.dynamic_energy) / scale;
 }
 
-RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs) {
+namespace {
+
+/// run_lockstep's event loop over a caller-owned core.
+RunStats drive_lockstep(RuntimeCore& core, std::vector<Job> jobs) {
+  const RuntimeConfig& config = core.config();
   sort_by_release(jobs);
   QES_ASSERT_MSG(deadlines_agreeable(jobs),
                  "lockstep replay requires agreeable deadlines");
-  RuntimeCore core(config);
   if (jobs.empty()) return core.finish(0.0);
 
   const Time final_deadline = jobs.back().deadline;
@@ -50,6 +54,13 @@ RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs) {
   return core.finish(final_deadline);
 }
 
+}  // namespace
+
+RunStats run_lockstep(const RuntimeConfig& config, std::vector<Job> jobs) {
+  RuntimeCore core(config);
+  return drive_lockstep(core, std::move(jobs));
+}
+
 ConformanceResult run_conformance(const RuntimeConfig& config,
                                   std::vector<Job> jobs) {
   ConformanceResult out;
@@ -64,10 +75,15 @@ ConformanceResult run_conformance(const RuntimeConfig& config,
   ec.idle_trigger = config.idle_trigger;
   ec.max_core_speed = config.max_core_speed;
   ec.record_execution = false;
+  ec.record_replan_times = false;
+  ec.record_job_states = false;  // release behind the window, as qesd does
   Engine engine(ec, jobs, make_des_policy({.arch = Architecture::CDVFS}));
   out.sim = engine.run().stats;
+  out.sim_released = engine.released_jobs();
 
-  out.runtime = run_lockstep(config, std::move(jobs));
+  RuntimeCore core(config);
+  out.runtime = drive_lockstep(core, std::move(jobs));
+  out.runtime_released = core.released_jobs();
   return out;
 }
 

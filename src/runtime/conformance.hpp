@@ -14,6 +14,7 @@
 // here transfers to the live path's accounting.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/job.hpp"
@@ -25,6 +26,10 @@ namespace qes::runtime {
 struct ConformanceResult {
   RunStats sim;      ///< sim::Engine + make_des_policy (C-DVFS)
   RunStats runtime;  ///< RuntimeCore in lockstep
+  /// Job records each plane freed behind its live window during the run
+  /// (whole chunks of the shared job store, fed to the accumulator first).
+  std::size_t sim_released = 0;
+  std::size_t runtime_released = 0;
 
   [[nodiscard]] double quality_abs_diff() const;
   [[nodiscard]] double energy_rel_diff() const;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/assert.hpp"
-#include "obs/run_accumulator.hpp"
 #include "obs/trace.hpp"
 
 namespace qes::runtime {
@@ -17,15 +16,13 @@ RuntimeCore::RuntimeCore(RuntimeConfig config)
     : cfg_(std::move(config)),
       crr_(static_cast<std::size_t>(std::max(cfg_.cores, 1))),
       planner_(std::make_unique<policy::DesPlanner>(cfg_.registry,
-                                                    "runtime")) {
+                                                    "runtime")),
+      jobs_(cfg_.registry, "qesd") {
   QES_ASSERT(cfg_.cores > 0 && cfg_.power_budget > 0.0);
-  if (cfg_.registry != nullptr) {
-    // Pre-register the end-of-run schema (jobs_total by outcome, quality
-    // and latency instruments) so a live /metrics scrape sees the full
-    // family set from the first request; finish() finds and increments
-    // these same instruments.
-    obs::RunAccumulator schema(cfg_.registry, "qesd");
-  }
+  // Build the accumulator now so a live /metrics scrape sees its full
+  // family set (jobs_total by outcome, quality and latency instruments)
+  // from the first request; released chunks advance them during the run.
+  (void)jobs_.accumulator();
   ledger_ = obs::EnergyLedger(cfg_.power_model, cfg_.cores, cfg_.registry,
                               cfg_.node_id);
   cores_.resize(static_cast<std::size_t>(cfg_.cores));
@@ -34,12 +31,12 @@ RuntimeCore::RuntimeCore(RuntimeConfig config)
                       : std::numeric_limits<double>::infinity();
 }
 
-JobRecord& RuntimeCore::state(JobId id) {
+JobState& RuntimeCore::state(JobId id) {
   QES_ASSERT(id >= 1 && id <= jobs_.size());
   return jobs_[id - 1];
 }
 
-const JobRecord& RuntimeCore::job(JobId id) const {
+const JobState& RuntimeCore::job(JobId id) const {
   QES_ASSERT(id >= 1 && id <= jobs_.size());
   return jobs_[id - 1];
 }
@@ -49,19 +46,20 @@ const Schedule& RuntimeCore::plan(int core) const {
   return cores_[static_cast<std::size_t>(core)].plan;
 }
 
-void RuntimeCore::submit(const Job& job) {
+void RuntimeCore::submit(const Job& job, std::uint64_t tag) {
   QES_ASSERT_MSG(job.id == jobs_.size() + 1,
                  "jobs must carry dense ids 1..n in admission order");
   QES_ASSERT(job.demand > 0.0 && job.deadline > job.release);
   QES_ASSERT_MSG(job.release >= now_ - kPlanSlackEps,
                  "admission must not travel back in time");
   if (!jobs_.empty()) {
-    const Job& prev = jobs_.back().job;
-    QES_ASSERT_MSG(job.release + kTimeEps >= prev.release &&
-                       job.deadline + kTimeEps >= prev.deadline,
+    QES_ASSERT_MSG(job.release + kTimeEps >= last_release_ &&
+                       job.deadline + kTimeEps >= last_deadline_,
                    "admitted jobs must keep agreeable deadlines");
   }
-  jobs_.push_back(JobRecord{.job = job});
+  last_release_ = job.release;
+  last_deadline_ = job.deadline;
+  jobs_.admit(job, tag);
   waiting_.push_back(job.id);
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Release,
@@ -83,13 +81,13 @@ bool RuntimeCore::core_asleep(int core) const {
 
 void RuntimeCore::assign_to_core(JobId id, int core) {
   QES_ASSERT(core >= 0 && core < cfg_.cores);
-  JobRecord& st = state(id);
-  QES_ASSERT_MSG(st.phase == JobRecord::Phase::Waiting,
+  JobState& st = state(id);
+  QES_ASSERT_MSG(st.phase == JobState::Phase::Waiting,
                  "only waiting jobs can be assigned");
   auto it = std::find(waiting_.begin(), waiting_.end(), id);
   QES_ASSERT(it != waiting_.end());
   waiting_.erase(it);
-  st.phase = JobRecord::Phase::Assigned;
+  st.phase = JobState::Phase::Assigned;
   st.core = core;
   auto& q = cores_[static_cast<std::size_t>(core)].queue;
   q.insert(std::lower_bound(q.begin(), q.end(), id), id);
@@ -102,9 +100,9 @@ void RuntimeCore::assign_to_core(JobId id, int core) {
 }
 
 void RuntimeCore::finalize(JobId id) {
-  JobRecord& st = state(id);
-  QES_ASSERT(st.phase != JobRecord::Phase::Finalized);
-  if (st.phase == JobRecord::Phase::Waiting) {
+  JobState& st = state(id);
+  QES_ASSERT(st.phase != JobState::Phase::Finalized);
+  if (st.phase == JobState::Phase::Waiting) {
     auto it = std::find(waiting_.begin(), waiting_.end(), id);
     if (it != waiting_.end()) waiting_.erase(it);
   } else {
@@ -114,7 +112,7 @@ void RuntimeCore::finalize(JobId id) {
     q.erase(it);
   }
   settle_job(st, cfg_.quality);
-  st.phase = JobRecord::Phase::Finalized;
+  st.phase = JobState::Phase::Finalized;
   st.finalized_at = now_;
   ++finalized_count_;
   if (st.satisfied) ++satisfied_count_;
@@ -122,7 +120,7 @@ void RuntimeCore::finalize(JobId id) {
   ledger_.attribution().on_job(st.job.partial_ok, st.energy_j, st.quality);
   if (cfg_.record_completions) {
     completions_.push_back(
-        {id, st.satisfied, st.quality, now_ - st.job.release});
+        {id, st.tag, st.satisfied, st.quality, now_ - st.job.release});
   }
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Finalize,
@@ -135,8 +133,8 @@ void RuntimeCore::finalize(JobId id) {
 
 void RuntimeCore::expire_due_jobs() {
   while (first_live_ < jobs_.size()) {
-    JobRecord& st = jobs_[first_live_];
-    if (st.phase == JobRecord::Phase::Finalized) {
+    JobState& st = jobs_[first_live_];
+    if (st.phase == JobState::Phase::Finalized) {
       ++first_live_;
       continue;
     }
@@ -156,8 +154,8 @@ void RuntimeCore::set_core_plan(int core, Schedule& plan) {
   for (const Segment& s : plan.segments()) {
     QES_ASSERT_MSG(s.t0 >= now_ - kPlanSlackEps,
                    "plan must start at or after now");
-    const JobRecord& st = job(s.job);
-    QES_ASSERT_MSG(st.phase == JobRecord::Phase::Assigned && st.core == core,
+    const JobState& st = job(s.job);
+    QES_ASSERT_MSG(st.phase == JobState::Phase::Assigned && st.core == core,
                    "plan segment must reference a live job on this core");
     QES_ASSERT_MSG(s.t1 <= st.job.deadline + kPlanSlackEps,
                    "plan segment must end by the job's deadline");
@@ -211,7 +209,7 @@ void RuntimeCore::advance(Time target) {
         const Segment& s = c.plan[c.next_seg];
         const Watts pw = c.seg_power;
         total_power += pw;
-        JobRecord& st = state(s.job);
+        JobState& st = state(s.job);
         st.processed += s.speed * dt;
         // Per-job attribution integrates the same a·s^β terms the
         // ledger's run-level sum groups by sub-step; Σ jobs therefore
@@ -241,8 +239,8 @@ void RuntimeCore::advance(Time target) {
              c.plan[c.next_seg].t1 <= now_ + kTimeEps) {
         const Segment done = c.plan[c.next_seg];
         ++c.next_seg;
-        JobRecord& st = state(done.job);
-        if (st.phase == JobRecord::Phase::Finalized) continue;
+        JobState& st = state(done.job);
+        if (st.phase == JobState::Phase::Finalized) continue;
         const bool complete = demand_met(st.processed, st.job.demand);
         bool more_planned = false;
         for (std::size_t k = c.next_seg; k < c.plan.size(); ++k) {
@@ -271,6 +269,9 @@ void RuntimeCore::advance(Time target) {
   }
   now_ = std::max(now_, target);
   expire_due_jobs();
+  // Stale segments of finalized jobs are still integrated and swept, so
+  // the store keeps every job an installed plan names.
+  jobs_.reclaim_dead_prefix(first_live_, cores_, cfg_.quality);
 }
 
 bool RuntimeCore::check_triggers() {
@@ -302,7 +303,7 @@ void RuntimeCore::build_view() const {
     policy::CoreView& core = view_.cores[static_cast<std::size_t>(i)];
     core.speed_cap = cfg_.max_core_speed;
     for (JobId id : cores_[static_cast<std::size_t>(i)].queue) {
-      const JobRecord& st = job(id);
+      const JobState& st = job(id);
       QES_ASSERT(st.job.deadline > now_ + kTimeEps);
       core.jobs.push_back(policy::ViewJob{.id = id,
                                           .deadline = st.job.deadline,
@@ -327,8 +328,8 @@ void RuntimeCore::set_power_budget(Watts budget) {
 std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
   std::vector<AbandonedJob> out;
   for (std::size_t k = first_live_; k < jobs_.size(); ++k) {
-    JobRecord& st = jobs_[k];
-    if (st.phase == JobRecord::Phase::Finalized) continue;
+    JobState& st = jobs_[k];
+    if (st.phase == JobState::Phase::Finalized) continue;
     const Work remaining = st.job.demand - st.processed;
     if (remaining <= kCompletionRelEps * std::max(1.0, st.job.demand)) {
       // Within completion tolerance: the work was done here, so the
@@ -339,7 +340,7 @@ std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
     out.push_back(AbandonedJob{.remaining = remaining,
                                .partial_ok = st.job.partial_ok,
                                .weight = st.job.weight});
-    if (st.phase == JobRecord::Phase::Waiting) {
+    if (st.phase == JobState::Phase::Waiting) {
       auto it = std::find(waiting_.begin(), waiting_.end(), st.job.id);
       QES_ASSERT(it != waiting_.end());
       waiting_.erase(it);
@@ -349,7 +350,7 @@ std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
       QES_ASSERT(it != q.end());
       q.erase(it);
     }
-    st.phase = JobRecord::Phase::Finalized;
+    st.phase = JobState::Phase::Finalized;
     st.abandoned = true;
     st.finalized_at = now_;
     ++finalized_count_;
@@ -406,7 +407,7 @@ void RuntimeCore::replan() {
 
 Time RuntimeCore::earliest_live_deadline() const {
   for (std::size_t k = first_live_; k < jobs_.size(); ++k) {
-    if (jobs_[k].phase != JobRecord::Phase::Finalized) {
+    if (jobs_[k].phase != JobState::Phase::Finalized) {
       return jobs_[k].job.deadline;
     }
   }
@@ -424,7 +425,7 @@ Time RuntimeCore::next_plan_event() const {
 }
 
 Time RuntimeCore::horizon() const {
-  return jobs_.empty() ? now_ : jobs_.back().job.deadline;
+  return jobs_.empty() ? now_ : last_deadline_;
 }
 
 Watts RuntimeCore::planned_power_now() const {
@@ -453,6 +454,7 @@ CoreCounters RuntimeCore::counters() const {
   c.wake_energy = ledger_.attribution().wake_energy();
   c.core_wakes = ledger_.wakes();
   c.cores_asleep = static_cast<std::size_t>(ledger_.asleep());
+  c.resident_jobs = jobs_.size() - jobs_.released();
   return c;
 }
 
@@ -464,18 +466,10 @@ void RuntimeCore::drain_completions(std::vector<JobCompletion>& out) {
 RunStats RuntimeCore::finish(Time end_time) {
   QES_ASSERT_MSG(all_finalized(), "finish() requires every job finalized");
   advance(std::max(end_time, now_));
-
-  // Same shared accumulator as sim::Engine (src/obs/run_accumulator.hpp),
-  // under the runtime's "qesd" metric prefix.
-  obs::RunAccumulator acc(cfg_.registry, "qesd");
-  for (const JobRecord& st : jobs_) {
-    if (st.abandoned) continue;  // re-dispatched; accounted at the new node
-    acc.on_job(st.quality, st.job.weight * cfg_.quality(st.job.demand),
-               st.satisfied, st.processed > kTimeEps,
-               !st.job.partial_ok && !st.satisfied,
-               st.finalized_at - st.job.release);
-  }
-  return ledger_.finish(acc, now_, replans_);
+  // The same id-order feed as sim::Engine's, under the "qesd" prefix:
+  // the released prefix is already in, the rest follows.
+  jobs_.feed_upto(jobs_.size(), cfg_.quality);
+  return ledger_.finish(jobs_.accumulator(), now_, replans_);
 }
 
 }  // namespace qes::runtime

@@ -18,16 +18,19 @@
 // classes — the simulator remains the tool for those studies).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/job.hpp"
+#include "core/job_state.hpp"
 #include "core/power.hpp"
 #include "core/quality.hpp"
 #include "core/schedule.hpp"
 #include "obs/energy_ledger.hpp"
+#include "obs/job_store.hpp"
 #include "policy/crr.hpp"
 #include "policy/des_planner.hpp"
 #include "policy/world_view.hpp"
@@ -71,31 +74,14 @@ struct RuntimeConfig {
 };
 
 /// One finalized job's outcome (only recorded when record_completions
-/// is set). latency_ms is virtual time from release to finalization.
+/// is set). latency_ms is virtual time from release to finalization;
+/// `tag` is the routing tag the job was submitted with.
 struct JobCompletion {
   JobId id = 0;
+  std::uint64_t tag = 0;
   bool satisfied = false;
   double quality = 0.0;
   Time latency_ms = 0.0;
-};
-
-/// Runtime-side view of one admitted job (mirrors sim::JobState).
-struct JobRecord {
-  Job job;
-  enum class Phase { Waiting, Assigned, Finalized } phase = Phase::Waiting;
-  int core = -1;
-  Work processed = 0.0;
-  double quality = 0.0;
-  bool satisfied = false;
-  /// Extracted by abandon_unfinalized() (node kill): finalized for state
-  /// bookkeeping but excluded from the run statistics — the job is
-  /// re-dispatched and accounted at whichever node serves it.
-  bool abandoned = false;
-  Time finalized_at = -1.0;
-  /// Dynamic energy integrated over this job's executed plan segments
-  /// (joules of a·s^β across the speeds it actually ran at). Summed over
-  /// jobs this partitions dynamic_energy exactly — see obs/attribution.hpp.
-  Joules energy_j = 0.0;
 };
 
 /// Unserved remainder of a job pulled off a killed node, ready to be
@@ -129,6 +115,8 @@ struct CoreCounters {
   Joules wake_energy = 0.0;
   std::size_t core_wakes = 0;
   std::size_t cores_asleep = 0;
+  /// Job records still held: admitted minus released_jobs().
+  std::size_t resident_jobs = 0;
 };
 
 class RuntimeCore {
@@ -140,8 +128,9 @@ class RuntimeCore {
   /// Admits a job. Ids must be dense 1..n in admission order and
   /// (release, deadline) must be agreeable with previously admitted jobs
   /// — both hold automatically when the server stamps release/deadline
-  /// at admission time.
-  void submit(const Job& job);
+  /// at admission time. `tag` rides in the job's record to its
+  /// JobCompletion (the wire ingress's reply token; 0 for none).
+  void submit(const Job& job, std::uint64_t tag = 0);
 
   // ---- time (every mutation below expects monotone timestamps) ----
 
@@ -163,9 +152,10 @@ class RuntimeCore {
   void replan();
 
   /// Final accounting: integrates idle time out to `end_time` (the last
-  /// deadline) and returns the run statistics, matching sim::Engine's
-  /// RunStats field for field. All jobs must be finalized. Abandoned jobs
-  /// (node kill) are excluded — they are accounted where they re-land.
+  /// deadline), feeds the jobs the run has not yet released, and returns
+  /// the run statistics, matching sim::Engine's RunStats field for
+  /// field. All jobs must be finalized. Abandoned jobs (node kill) are
+  /// excluded — they are accounted where they re-land.
   [[nodiscard]] RunStats finish(Time end_time);
 
   // ---- cluster hooks (src/cluster/) ----
@@ -197,7 +187,9 @@ class RuntimeCore {
   [[nodiscard]] bool all_finalized() const {
     return finalized_count_ == jobs_.size();
   }
-  [[nodiscard]] const JobRecord& job(JobId id) const;
+  /// One job's state; asserts it is still resident (not yet released
+  /// behind the live window).
+  [[nodiscard]] const JobState& job(JobId id) const;
   [[nodiscard]] const Schedule& plan(int core) const;
 
   /// Earliest deadline among admitted, unfinalized jobs (infinity when
@@ -227,6 +219,10 @@ class RuntimeCore {
     return jobs_.size() - finalized_count_;
   }
 
+  /// Job records freed so far: whole chunks behind the live window,
+  /// already fed to the run accumulator.
+  [[nodiscard]] std::size_t released_jobs() const { return jobs_.released(); }
+
   /// Per-class energy/quality attribution, fed at finalization (class
   /// "abandoned" from abandon_unfinalized()), with static, wake and
   /// residency fed per substep. Mirrors into cfg_.registry when set;
@@ -254,7 +250,7 @@ class RuntimeCore {
     bool asleep = false;         // parked in the sleep C-state
   };
 
-  JobRecord& state(JobId id);
+  JobState& state(JobId id);
   void assign_to_core(JobId id, int core);
   void finalize(JobId id);
   void expire_due_jobs();
@@ -291,10 +287,16 @@ class RuntimeCore {
   std::vector<std::size_t> replan_targets_;
   std::vector<JobCompletion> completions_;  // pending drain_completions()
   obs::EnergyLedger ledger_;  // energy, C-states and attribution
-  std::vector<JobRecord> jobs_;  // index = id - 1
+  /// Job records (index = id - 1) and the "qesd" run accumulator; the
+  /// dead prefix is fed and freed at the end of every advance().
+  obs::JobStore jobs_;
   std::vector<CoreState> cores_;
   std::vector<JobId> waiting_;   // arrived, unassigned, arrival order
   std::size_t first_live_ = 0;
+  // The last admission's window (the agreeable-deadline check and
+  // horizon() read it; its record may already be released).
+  Time last_release_ = 0.0;
+  Time last_deadline_ = 0.0;
   std::size_t finalized_count_ = 0;
   std::size_t satisfied_count_ = 0;
   double quality_sum_ = 0.0;

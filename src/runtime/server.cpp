@@ -52,10 +52,12 @@ std::string MetricsSnapshot::to_json() const {
       "\"shed\": %zu, \"quality_sum\": %.6f, \"dynamic_energy_j\": %.3f, "
       "\"static_energy_j\": %.3f, \"wake_energy_j\": %.3f, "
       "\"planned_power_w\": %.3f, \"peak_power_w\": %.3f, "
-      "\"replans\": %zu, \"cores_asleep\": %zu, \"busy_workers\": %d}",
+      "\"replans\": %zu, \"cores_asleep\": %zu, \"busy_workers\": %d, "
+      "\"resident_jobs\": %zu}",
       t_virtual_ms, admitted, waiting, assigned, finalized, satisfied, shed,
       quality_sum, dynamic_energy_j, static_energy_j, wake_energy_j,
-      planned_power_w, peak_power_w, replans, cores_asleep, busy_workers);
+      planned_power_w, peak_power_w, replans, cores_asleep, busy_workers,
+      resident_jobs);
   return buf;
 }
 
@@ -375,17 +377,16 @@ void Server::process_tick() {
       Job j;
       j.id = core_.admitted() + 1;
       j.release = core_.now();
-      // Per-request deadlines are clamped to stay agreeable (monotone in
-      // admission order) — with the constant server default this clamp
-      // never fires, so the in-process path is byte-identical.
+      // Per-request deadlines are clamped to the last admitted deadline
+      // to stay agreeable (monotone in admission order) — with the
+      // constant server default this clamp never fires, so the
+      // in-process path is byte-identical.
       const Time rel = r.deadline_ms > 0.0 ? r.deadline_ms : cfg_.deadline_ms;
-      j.deadline = std::max(core_.now() + rel, last_deadline_);
-      last_deadline_ = j.deadline;
+      j.deadline = std::max(core_.now() + rel, core_.horizon());
       j.demand = r.demand;
       j.partial_ok = r.partial_ok;
       j.weight = r.weight;
-      core_.submit(j);
-      tags_.push_back(r.tag);
+      core_.submit(j, r.tag);
     }
     admitted_total = core_.admitted();
     if (core_.check_triggers()) {
@@ -437,11 +438,9 @@ void Server::forward_completions() {
     std::lock_guard<std::mutex> lock(mu_);
     core_.drain_completions(completions_scratch_);
     for (const JobCompletion& c : completions_scratch_) {
-      QES_ASSERT(c.id >= 1 && c.id <= tags_.size());
-      const std::uint64_t token = tags_[static_cast<std::size_t>(c.id - 1)];
-      if (token == 0) continue;  // in-process submission, no wire client
+      if (c.tag == 0) continue;  // in-process submission, no wire client
       net::Completion wc;
-      wc.token = token;
+      wc.token = c.tag;
       wc.status =
           c.satisfied ? net::ReplyStatus::kSatisfied : net::ReplyStatus::kPartial;
       wc.quality = c.quality;
@@ -603,6 +602,7 @@ MetricsSnapshot Server::snapshot() const {
   s.peak_power_w = c.peak_power;
   s.replans = c.replans;
   s.cores_asleep = c.cores_asleep;
+  s.resident_jobs = c.resident_jobs;
   for (const auto& j : current_job_) {
     if (j.load(std::memory_order_relaxed) != 0) ++s.busy_workers;
   }

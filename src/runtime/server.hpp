@@ -146,6 +146,8 @@ struct MetricsSnapshot {
   std::size_t replans = 0;
   std::size_t cores_asleep = 0;
   int busy_workers = 0;
+  /// Job records the core still holds (admitted minus released).
+  std::size_t resident_jobs = 0;
 
   [[nodiscard]] std::string to_json() const;
 };
@@ -310,14 +312,8 @@ class Server {
   // it so RuntimeCore::finish() mirrors its aggregates here.
   obs::Registry registry_;
 
-  mutable std::mutex mu_;  // guards core_, tags_, last_deadline_
+  mutable std::mutex mu_;  // guards core_
   RuntimeCore core_;
-  /// Completion routing tag per admitted job (index = id - 1); 0 for
-  /// in-process submissions.
-  std::vector<std::uint64_t> tags_;
-  /// Latest stamped absolute deadline — per-request deadlines are
-  /// clamped to keep admissions agreeable (core asserts it).
-  Time last_deadline_ = 0.0;
   // Scratch for process_tick / forward_completions (trigger thread only).
   std::vector<Request> admission_batch_;
   std::vector<JobCompletion> completions_scratch_;

@@ -190,9 +190,17 @@ ScenarioOutcome run_cluster_cell(const ScenarioSpec& spec,
   const std::size_t arrived = jobs.size();
   double opt_q = -1.0;
   if (spec.compare_opt) {
+    // The bound must see the cell's own power model and every H a chaos
+    // budget op puts in force, or it can fall below what the nodes run.
     EngineConfig probe;
     probe.power_budget = cc.total_budget;
+    probe.power_model = spec.power_model;
     probe.quality = cc.node.quality;
+    for (const cluster::ChaosEvent& ev : spec.chaos) {
+      if (ev.kind == cluster::ChaosEvent::Kind::BudgetStep) {
+        probe.budget_steps.push_back({ev.t, ev.budget});
+      }
+    }
     opt_q = qe_opt_bound(jobs, probe, spec.nodes * spec.cores);
   }
 

@@ -287,9 +287,13 @@ ScenarioSpec parse_scenario(const Json& j) {
   }
 
   s.compare_opt = j.bool_or("compare_opt", s.compare_opt);
-  require(!(s.compare_opt && s.substrate == "cluster" && !s.chaos.empty()),
-          "compare_opt is undefined for chaos cells (kills rewrite the "
-          "job set)");
+  const bool kills = std::any_of(
+      s.chaos.begin(), s.chaos.end(), [](const cluster::ChaosEvent& ev) {
+        return ev.kind == cluster::ChaosEvent::Kind::Kill;
+      });
+  require(!(s.compare_opt && s.substrate == "cluster" && kills),
+          "compare_opt is undefined for cells that kill a node (kills "
+          "rewrite the job set)");
   return s;
 }
 

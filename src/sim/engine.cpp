@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/run_accumulator.hpp"
 #include "obs/trace.hpp"
 
 namespace qes {
@@ -32,6 +31,7 @@ void Engine::init_runtime() {
   dirty_cores_.reserve(cores_.size());
   ledger_ = obs::EnergyLedger(cfg_.power_model, cfg_.cores, cfg_.registry,
                               /*node=*/0);
+  jobs_ = obs::JobStore(cfg_.registry, "qes_sim");
 }
 
 Engine::Engine(EngineConfig config, std::vector<Job> jobs,
@@ -46,7 +46,7 @@ Engine::Engine(EngineConfig config, std::vector<Job> jobs,
     QES_ASSERT_MSG(jobs[k].id == k + 1,
                    "jobs must carry dense ids 1..n in arrival order");
     QES_ASSERT(jobs[k].demand > 0.0 && jobs[k].deadline > jobs[k].release);
-    jobs_.push_back(JobState{.job = jobs[k]});
+    jobs_.admit(jobs[k]);
   }
   if (!jobs.empty()) final_deadline_ = jobs.back().deadline;
 }
@@ -74,7 +74,7 @@ void Engine::admit_streamed_arrival() {
                  "stream deadlines must be agreeable");
   last_release_ = j.release;
   final_deadline_ = std::max(final_deadline_, j.deadline);
-  jobs_.push_back(JobState{.job = j});
+  jobs_.admit(j);
   waiting_.push_back(j.id);
   if (cfg_.trace != nullptr) {
     cfg_.trace->push(
@@ -464,43 +464,6 @@ Time Engine::complete_due_cores() {
   return next;
 }
 
-void Engine::feed_accumulator_upto(std::size_t limit) {
-  if (limit <= fed_upto_) return;
-  if (!acc_) {
-    acc_ = std::make_unique<obs::RunAccumulator>(cfg_.registry, "qes_sim");
-  }
-  for (; fed_upto_ < limit; ++fed_upto_) {
-    const JobState& st = jobs_[fed_upto_];
-    QES_ASSERT(st.phase == JobState::Phase::Finalized);
-    acc_->on_job(st.quality, st.job.weight * cfg_.quality(st.job.demand),
-                 st.satisfied, st.processed > kTimeEps,
-                 !st.job.partial_ok && !st.satisfied,
-                 st.finalized_at - st.job.release);
-  }
-}
-
-void Engine::reclaim_dead_prefix() {
-  // Only whole chunks can be freed — skip the plan scan until at least
-  // one full chunk of jobs has died since the last release.
-  if (first_live_ - jobs_.resident_floor() <
-      sim::ChunkedArena<JobState>::kChunkSize) {
-    return;
-  }
-  // advance_to's completion sweep dereferences state(seg.job) for stale
-  // segments of already-finalized jobs, and pending_ holds a pointer to
-  // each pending segment's job, so every job still named by an
-  // installed plan must stay resident even when it sits below
-  // first_live_.
-  std::size_t floor = first_live_;
-  for (const CoreRuntime& c : cores_) {
-    for (std::size_t k = c.next_seg; k < c.plan.size(); ++k) {
-      floor = std::min(floor, static_cast<std::size_t>(c.plan[k].job - 1));
-    }
-  }
-  feed_accumulator_upto(floor);
-  jobs_.release_before(floor);
-}
-
 RunResult Engine::run() {
   if (cfg_.record_execution) {
     result_.executed.resize(cores_.size());
@@ -581,7 +544,11 @@ RunResult Engine::run() {
     }
 
     expire_due_jobs();
-    if (!cfg_.record_job_states) reclaim_dead_prefix();
+    // advance_to reads the jobs that stale plan segments name, so the
+    // store keeps them resident below first_live_.
+    if (!cfg_.record_job_states) {
+      jobs_.reclaim_dead_prefix(first_live_, cores_, cfg_.quality);
+    }
 
     bool replan = false;
 
@@ -636,15 +603,16 @@ RunResult Engine::run() {
   // way, so registry-mirrored histogram totals reconcile exactly with
   // the RunStats aggregates and streamed stats match vector-mode stats
   // bit for bit.
-  feed_accumulator_upto(jobs_.size());
-  result_.stats = ledger_.finish(*acc_, final_deadline_, replan_count_);
+  jobs_.feed_upto(jobs_.size(), cfg_.quality);
+  result_.stats =
+      ledger_.finish(jobs_.accumulator(), final_deadline_, replan_count_);
   if (cfg_.record_job_states) {
     // Copy out chunk by chunk, releasing behind the cursor so peak RSS
     // carries one extra chunk, not a second full copy of the table.
     result_.jobs.reserve(jobs_.size());
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       result_.jobs.push_back(std::move(jobs_[i]));
-      if (((i + 1) & sim::ChunkedArena<JobState>::kChunkMask) == 0) {
+      if (((i + 1) & obs::JobStore::Arena::kChunkMask) == 0) {
         jobs_.release_before(i + 1);
       }
     }

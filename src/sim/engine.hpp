@@ -68,18 +68,18 @@
 
 #include "core/assert.hpp"
 #include "core/job.hpp"
+#include "core/job_state.hpp"
 #include "core/job_stream.hpp"
 #include "core/power.hpp"
 #include "core/quality.hpp"
 #include "core/schedule.hpp"
 #include "obs/energy_ledger.hpp"
+#include "obs/job_store.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/job_arena.hpp"
 #include "sim/metrics.hpp"
 
 namespace qes::obs {
 class Registry;
-class RunAccumulator;
 class TraceRing;
 }  // namespace qes::obs
 
@@ -158,21 +158,6 @@ class SchedulingPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Engine-side view of one job.
-struct JobState {
-  Job job;
-  enum class Phase { Waiting, Assigned, Finalized } phase = Phase::Waiting;
-  int core = -1;              ///< assigned core, -1 while waiting
-  Work processed = 0.0;       ///< volume executed so far
-  double quality = 0.0;       ///< set at finalization
-  bool satisfied = false;     ///< processed == demand at finalization
-  Time finalized_at = -1.0;
-  /// Dynamic energy integrated over this job's executed segments (the
-  /// cached a·s^β per segment times its run time). Summed over jobs plus
-  /// the idle residual this partitions dynamic_energy — obs/attribution.hpp.
-  Joules energy_j = 0.0;
-};
-
 struct RunResult {
   RunStats stats;
   /// Actually executed segments per core (empty if !record_execution).
@@ -218,6 +203,11 @@ class Engine {
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
+
+  /// Job-state entries freed so far: whole chunks behind the live
+  /// window when record_job_states is off; with it on, only run()'s
+  /// copy into RunResult::jobs frees them.
+  [[nodiscard]] std::size_t released_jobs() const { return jobs_.released(); }
 
   /// Waiting (arrived, unassigned, unexpired) jobs in arrival order.
   [[nodiscard]] std::span<const JobId> waiting() const { return waiting_; }
@@ -297,7 +287,7 @@ class Engine {
     /// substep (negative until then) — the same double every substep,
     /// so sums stay bitwise identical.
     Watts power_w = -1.0;
-    JobState* job = nullptr;  // resident: reclaim_dead_prefix keeps it
+    JobState* job = nullptr;  // resident: the dead-prefix floor keeps it
     Watts idle_w = 0.0;       // burned while no segment is active
   };
 
@@ -338,15 +328,6 @@ class Engine {
   /// Admit the buffered stream arrival (asserting the JobStream
   /// contract) and pull the next one.
   void admit_streamed_arrival();
-  /// Feed finalized jobs [fed_upto_, limit) into the run accumulator in
-  /// id order — the exact order (and arithmetic) of the legacy
-  /// end-of-run loop, so streamed stats stay bitwise identical.
-  void feed_accumulator_upto(std::size_t limit);
-  /// Feed and free the dead prefix of job state: every job below both
-  /// first_live_ and the earliest job referenced by any core's
-  /// remaining plan segments (advance_to dereferences finalized jobs in
-  /// stale segments, so first_live_ alone is not a safe floor).
-  void reclaim_dead_prefix();
   [[nodiscard]] bool arrivals_pending() const {
     return stream_ != nullptr ? pending_arrival_.has_value()
                               : next_arrival_ < jobs_.size();
@@ -374,12 +355,14 @@ class Engine {
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<JobStream> stream_;  // null in vector mode
   std::optional<Job> pending_arrival_;  // one-arrival lookahead (stream mode)
-  sim::ChunkedArena<JobState> jobs_;  // index = id - 1
+  /// Job state (index = id - 1) and the run accumulator it feeds; the
+  /// dead prefix is fed and freed as the live window advances unless
+  /// record_job_states keeps the whole table for RunResult::jobs.
+  obs::JobStore jobs_;
   std::vector<CoreRuntime> cores_;
   std::vector<JobId> waiting_;
   std::size_t next_arrival_ = 0;   // index into jobs_ (arrival order)
   std::size_t first_live_ = 0;     // earliest possibly-unfinalized job
-  std::size_t fed_upto_ = 0;       // jobs below this are in the accumulator
   std::size_t next_budget_step_ = 0;
   std::size_t finalized_count_ = 0;
   std::size_t replan_count_ = 0;
@@ -411,10 +394,6 @@ class Engine {
   std::size_t pushed_deadline_ = SIZE_MAX;
   std::size_t pushed_budget_ = SIZE_MAX;
   Time pushed_quantum_ = -1.0;
-  /// Built lazily at the first feed (incomplete type; hence ~Engine in
-  /// the .cpp). Fed a monotone id-order prefix as jobs die so streaming
-  /// runs can release their state early.
-  std::unique_ptr<obs::RunAccumulator> acc_;
   RunResult result_;
 };
 

@@ -4,8 +4,12 @@
 // reproduces the engine's arithmetic to floating-point noise.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "core/chunked_arena.hpp"
+#include "core/job_state.hpp"
 #include "runtime/conformance.hpp"
 #include "workload/generator.hpp"
 
@@ -111,6 +115,39 @@ TEST(Conformance, SingleJob) {
   EXPECT_EQ(r.sim.jobs_total, 1u);
   EXPECT_EQ(r.sim.jobs_satisfied, 1u);
   expect_conformant(r);
+}
+
+// Both planes free whole chunks of their job store behind the live
+// window and feed them to the run accumulator first. A run long enough
+// to free several chunks on each plane must keep every field the cases
+// above compare at the bits it had while both planes held every job
+// (pinned below from that code). The planes themselves still differ by
+// an ulp in dynamic_energy on this trace, as on the others: they cut
+// their energy substeps at different points.
+TEST(Conformance, LongRunReleasesChunksOnBothPlanesBitwise) {
+  const ConformanceResult r =
+      run_conformance(small_runtime_config(), trace(60.0, 300'000.0, 13));
+  constexpr std::size_t kChunk = ChunkedArena<JobState>::kChunkSize;
+  ASSERT_GE(r.sim.jobs_total, 4 * kChunk);
+  EXPECT_GE(r.sim_released, 3 * kChunk);
+  EXPECT_GE(r.runtime_released, 3 * kChunk);
+  expect_conformant(r);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const RunStats* s : {&r.sim, &r.runtime}) {
+    SCOPED_TRACE(s == &r.sim ? "sim" : "runtime");
+    EXPECT_EQ(bits(s->total_quality), 0x40beed06f965930cULL);
+    EXPECT_EQ(bits(s->dynamic_energy), s == &r.sim ? 0x40dc93b8d1e1c566ULL
+                                                   : 0x40dc93b8d1e1c567ULL);
+    EXPECT_EQ(s->jobs_total, 18079u);
+    EXPECT_EQ(s->jobs_satisfied, 16107u);
+    EXPECT_EQ(s->jobs_partial, 1972u);
+    EXPECT_EQ(s->jobs_zero, 0u);
+    EXPECT_EQ(s->replans, 10810u);
+    EXPECT_EQ(bits(s->end_time), 0x411251afd25de211ULL);
+    EXPECT_EQ(bits(s->peak_power), 0x4064000000000002ULL);
+    EXPECT_EQ(bits(s->p95_latency), 0x4062c00000000000ULL);
+  }
 }
 
 TEST(Lockstep, FinishRequiresAllFinalized) {

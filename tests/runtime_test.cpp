@@ -82,7 +82,7 @@ TEST(RuntimeCore, PlannedPowerFollowsTheCurrentSegment) {
   expect_power_of_current_segment("inside the first segment");
 
   core.advance(20.0);
-  EXPECT_EQ(core.job(1).phase, JobRecord::Phase::Finalized);
+  EXPECT_EQ(core.job(1).phase, JobState::Phase::Finalized);
   expect_power_of_current_segment("after the first segment ended");
   const Speed before_replan = current_speed();
 

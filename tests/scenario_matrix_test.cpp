@@ -137,6 +137,35 @@ TEST(ScenarioMatrix, ClusterChaosKillDrainReviveBudget) {
   expect_coherent(out);
 }
 
+// The cluster cell's QE-OPT probe must plan with the cell's power model
+// and the largest H a chaos budget op puts in force. With the default
+// model (a = 5) or the starting H it computes a bound the nodes beat,
+// and run_scenario's Online-QE <= QE-OPT assertion aborts.
+TEST(ScenarioMatrix, ClusterOptBoundUsesTheCellsPowerModel) {
+  const ScenarioOutcome out = run_text(R"({
+    "name": "m_cluster_opt_a1", "substrate": "cluster", "compare_opt": true,
+    "workload": {"regime": "poisson", "rate": 300, "horizon_ms": 1000,
+                 "deadline_ms": 150, "seed": 83},
+    "engine": {"cores": 4, "power_budget": 80, "quantum_ms": 250,
+               "power_model": {"a": 1.0}},
+    "cluster": {"nodes": 3, "dispatch": "jsq"}})");
+  expect_coherent(out);
+  EXPECT_GE(out.opt_quality, out.quality - 1e-6);
+}
+
+TEST(ScenarioMatrix, ClusterOptBoundCoversChaosBudgetRaises) {
+  const ScenarioOutcome out = run_text(R"({
+    "name": "m_cluster_opt_raise", "substrate": "cluster",
+    "compare_opt": true,
+    "workload": {"regime": "poisson", "rate": 300, "horizon_ms": 1000,
+                 "deadline_ms": 150, "seed": 89},
+    "engine": {"cores": 4, "power_budget": 10, "quantum_ms": 250},
+    "cluster": {"nodes": 3, "broker_period_ms": 20, "dispatch": "jsq"},
+    "chaos": [{"at_ms": 50, "op": "budget", "budget": 480}]})");
+  expect_coherent(out);
+  EXPECT_GE(out.opt_quality, out.quality - 1e-6);
+}
+
 TEST(ScenarioMatrix, ClusterKillEveryNodeShedsRemainder) {
   // Degenerate chaos: all nodes die mid-run. Conservation must still
   // balance exactly — everything after the last kill is shed.

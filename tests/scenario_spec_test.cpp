@@ -121,6 +121,17 @@ TEST(ScenarioSpec, RejectsMalformedSchedules) {
   EXPECT_THROW((void)parse_scenario_text(R"({"substrate": "cluster",
       "chaos": [{"at_ms": 1, "op": "kill"}]})"),
                std::invalid_argument);
+  // The QE-OPT bound on a cell whose kills re-admit orphans as new jobs;
+  // budget and drain ops keep the job set, so those cells may ask for it.
+  EXPECT_THROW((void)parse_scenario_text(R"({"substrate": "cluster",
+      "compare_opt": true,
+      "chaos": [{"at_ms": 1, "op": "kill", "node": 0}]})"),
+               std::invalid_argument);
+  EXPECT_TRUE(parse_scenario_text(R"({"substrate": "cluster",
+      "compare_opt": true,
+      "chaos": [{"at_ms": 1, "op": "budget", "budget": 90},
+                {"at_ms": 2, "op": "drain", "node": 0}]})")
+                  .compare_opt);
   // Engine sanity.
   EXPECT_THROW((void)parse_scenario_text(R"({"engine": {"cores": 0}})"),
                std::invalid_argument);
