@@ -51,7 +51,7 @@ int main() {
       // NOTE: AgreeableJobSet sorts; same release/deadline => id order,
       // which matches the construction order, so weights stay aligned.
       const auto blind = quality_opt_schedule(set, 2.0);
-      const auto smart = weighted_quality_opt_schedule(set, 2.0, weights, f);
+      const auto smart = weighted_quality_opt_schedule(set.jobs(), 2.0, weights, f);
       for (std::size_t i = 0; i < set.size(); ++i) {
         const bool premium = weights[i] > 1.5;
         const double qb = f(blind.volumes[i]) / f(set[i].demand);

@@ -2,13 +2,23 @@
 // 8 / 32 / 128 ready jobs (8 cores), and does the steady-state
 // view-refill path really stay off the heap?
 //
-// Two tables. The first plans with the paper's b = 0 model under a
+// Three tables. The first plans with the paper's b = 0 model under a
 // budget at half the budget-free request, so every replan walks the
 // full pipeline (YDS -> WF -> bounded Online-QE). The second plans with
 // the overnight_trough model (b = 2 W, a sleep state) under a budget
 // twice the request, so every replan takes the all-fits fast path and
 // runs race-to-idle on each core: the path the lockstep cluster spends
-// its planner time on. Its rows are labelled race/<ready_jobs>.
+// its planner time on. Its rows are labelled race/<ready_jobs>. The
+// third is shaped like sim_diurnal: 64 cores, b = 0, H binding, so WF
+// splits 64 requests and Online-QE runs on every core. A per-core skew
+// keeps the 64 requests distinct, so WF takes one round per core below
+// its level, and each replan deals the skews to the cores in a new
+// order, so which cores a round satisfies changes from replan to replan
+// as it does under sim_diurnal's arrivals. The budget sits at 0.9 of the
+// request, which gives WF about 38 rounds a call, as sim_diurnal's 64
+// cores take about 37 (at half the request it would take about 5); with
+// the first table's 8 cores WF costs too little to read. Its rows are
+// labelled 64c/<ready_jobs>.
 //
 // Every replan is timed end to end and through the kernel's own phase
 // histograms (qes_replan_phase_ms{plane="bench"}, one registry per
@@ -93,20 +103,24 @@ namespace {
 
 using namespace qes;
 
-constexpr std::size_t kCores = 8;
 constexpr int kReplans = 2000;
 constexpr int kWarmup = 16;
 // Virtual time between consecutive replans' views (1 µs): small next
 // to the 50 ms first deadline, so every replan plans the same load.
 constexpr Time kNowStepMs = 0.001;
 
-/// One table: a power model, a demand scale and the budget as a
-/// multiple of the budget-free request.
+/// One table: a core count, a power model, a demand scale and the
+/// budget as a multiple of the budget-free request.
 struct Table {
   const char* label_prefix;  // row label = prefix + ready jobs
+  std::size_t cores;
   const PowerModel* pm;
   double demand_scale;
   double budget_factor;
+  // Added to core c's demands at replan r as core_skew * ((37 c + 11 r)
+  // mod cores), a new permutation of the skews per replan (0 keeps the
+  // 8-core tables' original loads).
+  double core_skew = 0.0;
 };
 
 /// What a table's gates saw.
@@ -127,17 +141,23 @@ TableGates run_table(const Table& table) {
   // Steady-state refill: the head job on each core carries prior
   // volume, deadlines are agreeable, demands cycle through a small set
   // so Quality-OPT sees unequal marginal qualities.
-  auto refill = [&](std::size_t jobs_per_core, Watts budget, Time now) {
-    view.reset(now, budget, kCores);
+  const std::size_t cores = table.cores;
+  auto refill = [&](std::size_t jobs_per_core, Watts budget, int r) {
+    const Time now = kNowStepMs * static_cast<double>(r);
+    view.reset(now, budget, cores);
     view.power_model = table.pm;
     JobId id = 1;
-    for (std::size_t c = 0; c < kCores; ++c) {
+    for (std::size_t c = 0; c < cores; ++c) {
       for (std::size_t k = 0; k < jobs_per_core; ++k) {
         view.cores[c].jobs.push_back(policy::ViewJob{
             .id = id++,
             .deadline = 50.0 + 25.0 * static_cast<double>(k),
             .demand = table.demand_scale *
-                      (20.0 + 7.0 * static_cast<double>((k + c) % 5)),
+                      (20.0 + 7.0 * static_cast<double>((k + c) % 5) +
+                       table.core_skew *
+                           static_cast<double>(
+                               (37 * c + 11 * static_cast<std::size_t>(r)) %
+                               cores)),
             .processed = k == 0 ? 4.0 * table.demand_scale : 0.0});
       }
     }
@@ -154,8 +174,8 @@ TableGates run_table(const Table& table) {
   std::printf("\n");
 
   for (const std::size_t jobs_per_core : {1u, 4u, 16u}) {
-    const std::size_t ready = kCores * jobs_per_core;
-    refill(jobs_per_core, 1.0, 0.0);
+    const std::size_t ready = cores * jobs_per_core;
+    refill(jobs_per_core, 1.0, 0);
     const Watts budget =
         table.budget_factor * planner.total_power_request(view);
 
@@ -169,8 +189,8 @@ TableGates run_table(const Table& table) {
     for (int r = 0; r < kWarmup + kReplans; ++r) {
       const std::uint64_t a0 = alloc_count();
       const std::uint64_t l0 = lock_count();
-      refill(jobs_per_core, budget, kNowStepMs * static_cast<double>(r + 1));
-      out.reset(kCores);
+      refill(jobs_per_core, budget, r + 1);
+      out.reset(cores);
       const std::uint64_t a1 = alloc_count();
       const std::uint64_t l1 = lock_count();
       const auto t0 = clock::now();
@@ -228,13 +248,13 @@ int main() {
   trough.wake_energy_j = 0.05;
 
   std::printf("=== DES replan kernel latency ===\n");
-  std::printf("setup: %zu cores, %d replans per load level, "
+  std::printf("setup: %d cores, %d replans per load level, "
               "budget at half the budget-free request\n\n",
-              kCores, kReplans);
+              8, kReplans);
   // Pin the budget at half the budget-free request so every replan
   // walks the full pipeline (YDS -> WF -> bounded Online-QE) instead
   // of the all-fits fast path.
-  const TableGates full = run_table({"", &b0, 1.0, 0.5});
+  const TableGates full = run_table({"", 8, &b0, 1.0, 0.5});
 
   // A quarter of the demands keeps every step-2 speed near or below
   // the trough model's critical speed (0.6 GHz), so cores have an idle
@@ -243,18 +263,27 @@ int main() {
               "0.2 W, 1 ms / 0.05 J wake), demands / 4, budget twice the "
               "budget-free request (fast path); raced_cores = cores parked "
               "per replan\n");
-  const TableGates race = run_table({"race/", &trough, 0.25, 2.0});
+  const TableGates race = run_table({"race/", 8, &trough, 0.25, 2.0});
 
-  const bool refill_clean = full.refill_clean && race.refill_clean;
-  const bool lock_clean = full.lock_clean && race.lock_clean;
-  const bool replan_clean = full.replan_clean && race.replan_clean;
+  // sim_diurnal's shape: 64 cores at b = 0 with H binding. A 0.37 skew
+  // per core spreads the 64 requests over distinct values.
+  std::printf("\n64 cores: b = 0 model, budget at 0.9 of the budget-free "
+              "request, demands + 0.37 x core index\n");
+  const TableGates wide = run_table({"64c/", 64, &b0, 1.0, 0.9, 0.37});
+
+  const bool refill_clean =
+      full.refill_clean && race.refill_clean && wide.refill_clean;
+  const bool lock_clean = full.lock_clean && race.lock_clean && wide.lock_clean;
+  const bool replan_clean =
+      full.replan_clean && race.replan_clean && wide.replan_clean;
   std::printf("\nsteady-state view refill %s the heap and %s\n",
               refill_clean ? "never touches" : "ALLOCATES ON",
               lock_clean ? "takes no mutex locks" : "TAKES MUTEX LOCKS");
   std::printf("steady-state replan %s the heap (b = 0 table), %s the heap "
-              "(race table)\n",
+              "(race table), %s the heap (64-core table)\n",
               full.replan_clean ? "never touches" : "ALLOCATES ON",
-              race.replan_clean ? "never touches" : "ALLOCATES ON");
+              race.replan_clean ? "never touches" : "ALLOCATES ON",
+              wide.replan_clean ? "never touches" : "ALLOCATES ON");
   if (!race.raced) std::printf("race table NEVER RACED: its gate is vacuous\n");
   return (refill_clean && lock_clean && replan_clean && race.raced) ? 0 : 1;
 }

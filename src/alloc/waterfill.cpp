@@ -15,6 +15,49 @@ Work clamp_alloc(double level, Work baseline, Work cap) {
 
 }  // namespace
 
+double waterfill_sweep_level(std::span<const Work> starts,
+                             std::span<const Work> ends, Work capacity) {
+  // Sweep the water level across the breakpoints {b_i} (item becomes
+  // active) and {w_i} (item saturates); between breakpoints the fill rate
+  // is the number of active items.
+  QES_ASSERT(!starts.empty() && starts.size() == ends.size());
+  const std::size_t n = starts.size();
+  // w_i > b_i for every item, so the smallest start opens the sweep.
+  double level = starts.front();
+  Work poured = 0.0;
+  int active = 0;
+  std::size_t i = 0;  // next start
+  std::size_t j = 0;  // next end
+  while (i < n || j < n) {
+    // Apply all breakpoints at the current level.
+    while (i < n && starts[i] <= level + kTimeEps) {
+      ++active;
+      ++i;
+    }
+    while (j < n && ends[j] <= level + kTimeEps) {
+      --active;
+      ++j;
+    }
+    if (i == n && j == n) break;
+    const double next = j == n || (i < n && starts[i] <= ends[j])
+                            ? starts[i]
+                            : ends[j];
+    if (active > 0) {
+      const Work span_volume = active * (next - level);
+      if (poured + span_volume >= capacity - kTimeEps) {
+        level += (capacity - poured) / active;
+        poured = capacity;
+        break;
+      }
+      poured += span_volume;
+    }
+    level = next;
+  }
+  QES_ASSERT_MSG(poured <= capacity + kTimeEps,
+                 "water-fill must not exceed capacity");
+  return level;
+}
+
 void waterfill_volumes_into(std::span<const Work> caps,
                             std::span<const Work> baselines, Work capacity,
                             WaterfillScratch& scratch, WaterfillResult& out) {
@@ -53,49 +96,19 @@ void waterfill_volumes_into(std::span<const Work> caps,
     return;
   }
 
-  // Sweep the water level across the breakpoints {b_i} (item becomes
-  // active) and {w_i} (item saturates); between breakpoints the fill rate
-  // is the number of active items.
-  using Event = WaterfillScratch::Event;
-  std::vector<Event>& events = scratch.events;
-  events.clear();
-  events.reserve(2 * n);
+  std::vector<Work>& starts = scratch.starts;
+  std::vector<Work>& ends = scratch.ends;
+  starts.clear();
+  ends.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (caps[i] > baselines[i] + kTimeEps) {
-      events.push_back({static_cast<double>(baselines[i]), +1});
-      events.push_back({static_cast<double>(caps[i]), -1});
+      starts.push_back(baselines[i]);
+      ends.push_back(caps[i]);
     }
   }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.delta > b.delta;  // starts before ends at the same level
-  });
-
-  double level = events.front().value;
-  Work poured = 0.0;
-  int active = 0;
-  std::size_t k = 0;
-  while (k < events.size()) {
-    // Apply all events at the current level.
-    while (k < events.size() && events[k].value <= level + kTimeEps) {
-      active += events[k].delta;
-      ++k;
-    }
-    if (k == events.size()) break;
-    const double next = events[k].value;
-    if (active > 0) {
-      const Work span_volume = active * (next - level);
-      if (poured + span_volume >= capacity - kTimeEps) {
-        level += (capacity - poured) / active;
-        poured = capacity;
-        break;
-      }
-      poured += span_volume;
-    }
-    level = next;
-  }
-  QES_ASSERT_MSG(poured <= capacity + kTimeEps,
-                 "water-fill must not exceed capacity");
+  std::sort(starts.begin(), starts.end());
+  std::sort(ends.begin(), ends.end());
+  const double level = waterfill_sweep_level(starts, ends, capacity);
 
   out.level = level;
   for (std::size_t i = 0; i < n; ++i) {

@@ -37,14 +37,25 @@ struct WaterfillResult {
 [[nodiscard]] WaterfillResult waterfill_volumes(std::span<const Work> caps,
                                                 Work capacity);
 
+/// The water level reached by pouring `capacity` over the items whose
+/// fill starts (baselines b_i) and saturation points (caps w_i) `starts`
+/// and `ends` hold, each in ascending order; every item has w_i > b_i.
+/// This is waterfill_volumes_into's level whenever its capacity is
+/// positive and short of the items' total remaining demand. The sweep
+/// reads the two lists as one, starts before ends at equal values, and
+/// values equal in a list are interchangeable, so any two lists holding
+/// the same values sweep to the same bits: Quality-OPT's interval
+/// search keeps its lists sorted by insertion and agrees bit for bit
+/// with a water-fill that sorts from scratch.
+[[nodiscard]] double waterfill_sweep_level(std::span<const Work> starts,
+                                           std::span<const Work> ends,
+                                           Work capacity);
+
 /// Reusable buffers for the scratch variant below (contents are
 /// implementation detail; callers just keep one alive across calls).
 struct WaterfillScratch {
-  struct Event {
-    double value;
-    int delta;  // +1 item starts filling, -1 item saturates
-  };
-  std::vector<Event> events;
+  std::vector<Work> starts;
+  std::vector<Work> ends;
   std::vector<Work> zeros;
 };
 

@@ -253,7 +253,7 @@ void Cluster::broker_tick_locked() {
       .set(planned);
   registry_.gauge("qes_cluster_live_nodes", "nodes accepting budget")
       .set(static_cast<double>(live));
-  broker_log_.push_back({t, split.budgets});
+  broker_log_.push(t, split.budgets);
 }
 
 void Cluster::broker_loop() {

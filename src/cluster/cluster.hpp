@@ -162,7 +162,7 @@ class Cluster {
   Dispatcher dispatcher_;
   std::vector<RunStats> killed_stats_;
   std::vector<bool> killed_;
-  std::vector<ClusterRunStats::BrokerDecision> broker_log_;
+  ClusterRunStats::BrokerLog broker_log_;
   Watts max_cluster_power_ = 0.0;
   std::size_t redistributed_ = 0;
   std::size_t redistribute_shed_ = 0;

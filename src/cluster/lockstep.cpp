@@ -76,7 +76,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
   auto sample_cluster_power = [&](Time t) {
     Watts total = 0.0;
     for (std::size_t i = 0; i < nn; ++i) {
-      if (!dead[i]) total += cores[i].counters().planned_power;
+      if (!dead[i]) total += cores[i].planned_power_now();
     }
     out.max_cluster_power = std::max(out.max_cluster_power, total);
     out.power_samples.push_back({t, total, broker.total_budget()});
@@ -97,7 +97,7 @@ ClusterRunStats run_cluster_lockstep_chaos(const LockstepClusterConfig& config,
       cores[i].set_power_budget(broker.budget(i));
       cores[i].replan();
     }
-    out.broker_log.push_back({t, broker.split().budgets});
+    out.broker_log.push(t, broker.split().budgets);
     sample_cluster_power(t);
   };
 

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/assert.hpp"
+
 namespace qes::cluster {
+
+void ClusterRunStats::BrokerLog::push(Time t, std::span<const Watts> budgets) {
+  if (times_.empty()) nodes_ = budgets.size();
+  QES_ASSERT(budgets.size() == nodes_);
+  times_.push_back(t);
+  budgets_.insert(budgets_.end(), budgets.begin(), budgets.end());
+}
 
 void finalize_aggregates(ClusterRunStats& stats) {
   stats.total_quality = 0.0;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,64 @@ struct ClusterRunStats {
   /// bounded by H (each node's advance asserts its own budget).
   Watts max_cluster_power = 0.0;
 
-  /// Every broker decision (initial split, periodic ticks, kill
-  /// re-splits), in time order. budgets[i] == 0 for dead nodes.
+  /// One broker decision: its time and the per-node budgets it split H
+  /// into (budgets[i] == 0 for dead nodes), viewed in the log.
   struct BrokerDecision {
     Time t = 0.0;
-    std::vector<Watts> budgets;
+    std::span<const Watts> budgets;
   };
-  std::vector<BrokerDecision> broker_log;
+
+  /// Every broker decision (initial split, periodic ticks, kill
+  /// re-splits), in time order, stored flat: the decision times plus one
+  /// nodes × decisions budget array, so a decision costs two appends
+  /// rather than a vector of its own. Iteration, back() and operator[]
+  /// yield BrokerDecision views, valid until the log next changes.
+  class BrokerLog {
+   public:
+    class Iterator {
+     public:
+      [[nodiscard]] BrokerDecision operator*() const { return (*log_)[i_]; }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      [[nodiscard]] bool operator==(const Iterator&) const = default;
+
+     private:
+      friend class BrokerLog;
+      Iterator(const BrokerLog* log, std::size_t i) : log_(log), i_(i) {}
+      const BrokerLog* log_;
+      std::size_t i_;
+    };
+
+    /// Appends a decision; every decision of one log covers the same
+    /// node count.
+    void push(Time t, std::span<const Watts> budgets);
+
+    [[nodiscard]] std::size_t size() const { return times_.size(); }
+    [[nodiscard]] bool empty() const { return times_.empty(); }
+    [[nodiscard]] BrokerDecision operator[](std::size_t i) const {
+      return {times_[i], std::span<const Watts>(budgets_).subspan(
+                             i * nodes_, nodes_)};
+    }
+    [[nodiscard]] BrokerDecision back() const { return (*this)[size() - 1]; }
+    [[nodiscard]] Iterator begin() const { return {this, 0}; }
+    [[nodiscard]] Iterator end() const { return {this, size()}; }
+    void clear() {
+      times_.clear();
+      budgets_.clear();
+    }
+    void shrink_to_fit() {
+      times_.shrink_to_fit();
+      budgets_.shrink_to_fit();
+    }
+
+   private:
+    std::vector<Time> times_;
+    std::vector<Watts> budgets_;
+    std::size_t nodes_ = 0;
+  };
+  BrokerLog broker_log;
 
   /// Total planned cluster power and the global budget H in force,
   /// sampled at every broker decision — the observable form of the

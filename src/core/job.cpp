@@ -12,11 +12,22 @@ bool deadlines_agreeable(std::span<const Job> jobs) {
 }
 
 void sort_by_release(std::vector<Job>& jobs) {
-  std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
-    if (a.release != b.release) return a.release < b.release;
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return a.id < b.id;
-  });
+  if (!std::is_sorted(jobs.begin(), jobs.end(), release_order_less)) {
+    std::sort(jobs.begin(), jobs.end(), release_order_less);
+  }
+}
+
+void assert_agreeable_order(std::span<const Job> jobs) {
+  for (std::size_t k = 1; k < jobs.size(); ++k) {
+    QES_ASSERT_MSG(!release_order_less(jobs[k], jobs[k - 1]),
+                   "job list must be in (release, deadline, id) order");
+    QES_ASSERT_MSG(jobs[k].deadline >= jobs[k - 1].deadline - kTimeEps,
+                   "job set must have agreeable deadlines");
+  }
+  for (const Job& j : jobs) {
+    QES_ASSERT_MSG(j.demand >= 0.0 && j.deadline > j.release,
+                   "job must have non-negative demand and a positive window");
+  }
 }
 
 Work total_demand(std::span<const Job> jobs) {
@@ -27,32 +38,8 @@ Work total_demand(std::span<const Job> jobs) {
 AgreeableJobSet::AgreeableJobSet(std::vector<Job> jobs)
     : jobs_(std::move(jobs)) {
   sort_by_release(jobs_);
-  for (std::size_t k = 1; k < jobs_.size(); ++k) {
-    QES_ASSERT_MSG(jobs_[k].deadline >= jobs_[k - 1].deadline - kTimeEps,
-                   "job set must have agreeable deadlines");
-  }
-  for (const Job& j : jobs_) {
-    QES_ASSERT_MSG(j.demand >= 0.0 && j.deadline > j.release,
-                   "job must have non-negative demand and a positive window");
-  }
+  assert_agreeable_order(jobs_);
   prefix_.resize(jobs_.size() + 1, 0.0);
-  for (std::size_t k = 0; k < jobs_.size(); ++k) {
-    prefix_[k + 1] = prefix_[k] + jobs_[k].demand;
-  }
-}
-
-void AgreeableJobSet::assign(std::span<const Job> jobs) {
-  jobs_.assign(jobs.begin(), jobs.end());
-  sort_by_release(jobs_);
-  for (std::size_t k = 1; k < jobs_.size(); ++k) {
-    QES_ASSERT_MSG(jobs_[k].deadline >= jobs_[k - 1].deadline - kTimeEps,
-                   "job set must have agreeable deadlines");
-  }
-  for (const Job& j : jobs_) {
-    QES_ASSERT_MSG(j.demand >= 0.0 && j.deadline > j.release,
-                   "job must have non-negative demand and a positive window");
-  }
-  prefix_.assign(jobs_.size() + 1, 0.0);
   for (std::size_t k = 0; k < jobs_.size(); ++k) {
     prefix_[k + 1] = prefix_[k] + jobs_[k].demand;
   }

@@ -38,24 +38,38 @@ struct Job {
 /// release time (ties resolved by deadline).
 [[nodiscard]] bool deadlines_agreeable(std::span<const Job> jobs);
 
-/// Sort ascending by (release, deadline, id). All single-core algorithms
-/// assume this order on input.
+/// The (release, deadline, id) order every single-core algorithm assumes
+/// on input.
+[[nodiscard]] inline bool release_order_less(const Job& a, const Job& b) {
+  if (a.release != b.release) return a.release < b.release;
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return a.id < b.id;
+}
+
+/// Sorts ascending by (release, deadline, id), leaving a list already in
+/// that order untouched: with unique ids a sorted list is the one order
+/// std::sort could return, so a caller that builds its list in order pays
+/// one O(n) check instead of a sort.
 void sort_by_release(std::vector<Job>& jobs);
+
+/// Aborts unless `jobs` is what an AgreeableJobSet would hold: in
+/// (release, deadline, id) order, agreeable, every demand non-negative and
+/// every window positive. The single-core kernels (YDS, Quality-OPT)
+/// check their span inputs with it.
+void assert_agreeable_order(std::span<const Job> jobs);
 
 /// Sum of demands.
 [[nodiscard]] Work total_demand(std::span<const Job> jobs);
 
 /// A sorted, agreeable job set with prefix demand sums, giving O(1)
-/// interval intensities g([r_i, d_j]) = (W_j - W_{i-1}) / (d_j - r_i)
-/// used by both Energy-OPT and Quality-OPT interval searches.
+/// interval intensities g([r_i, d_j]) = (W_j - W_{i-1}) / (d_j - r_i).
+/// Offline callers build one to order and check an arbitrary list and
+/// hand its jobs() to the single-core kernels; online callers, whose
+/// lists are already in order, pass their lists directly.
 class AgreeableJobSet {
  public:
   AgreeableJobSet() = default;
   explicit AgreeableJobSet(std::vector<Job> jobs);
-
-  /// Rebuilds the set from `jobs` in place, reusing capacity (scratch
-  /// reuse on the replan hot path). Exactly the constructor's semantics.
-  void assign(std::span<const Job> jobs);
 
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] bool empty() const { return jobs_.empty(); }

@@ -110,8 +110,11 @@ const BudgetFree& DesPlanner::budget_free_core_into(const WorldView& view,
   out.power_at_now = 0.0;
   out.max_speed = 0.0;
   if (jobs.empty()) return out;
-  set_tmp_.assign(jobs);
-  yds_schedule_into(set_tmp_, yds_scratch_, yds_out_);
+  // Every release is `now`, so a canonical view's (deadline, id) order is
+  // already the kernel's: the sort is one O(n) check. A view that skipped
+  // canonicalize (power_request's) is sorted here, and misses the memo.
+  sort_by_release(jobs);
+  yds_schedule_into(jobs, yds_scratch_, yds_out_);
   out.max_speed = yds_out_.critical_speed;
   out.power_at_now = pm.dynamic_power(yds_out_.schedule.speed_at(now));
   out.plan = yds_out_.schedule;
@@ -158,25 +161,27 @@ void DesPlanner::fixed_speed_plan_into(const CoreView& core, Time now,
     baselines_.push_back(vj.processed);
     adjusted.push_back(j);
   }
-  set_tmp_.assign(adjusted);
-  const AgreeableJobSet& set = set_tmp_;
-  quality_opt_into(set, speed, baseline_mode ? std::span<const Work>(baselines_)
-                                             : std::span<const Work>{},
+  // Canonical view order, every release at `now` but the head's, which
+  // only rewinds: the kernel's order, with baselines_ aligned to it.
+  quality_opt_into(adjusted, speed,
+                   baseline_mode ? std::span<const Work>(baselines_)
+                                 : std::span<const Work>{},
                    qopt_scratch_, qopt_out_);
   const QualityOptResult& q = qopt_out_;
 
   Time t = now;
-  for (std::size_t k = 0; k < set.size(); ++k) {
+  for (std::size_t k = 0; k < adjusted.size(); ++k) {
+    const Job& j = adjusted[k];
     Work rem = q.volumes[k];
-    if (set[k].release < now - kTimeEps) {
-      rem -= (now - set[k].release) * speed;  // running job's prior volume
+    if (j.release < now - kTimeEps) {
+      rem -= (now - j.release) * speed;  // running job's prior volume
     }
     if (rem <= kTimeEps) continue;
     const Time finish = t + rem / speed;
-    QES_ASSERT_MSG(approx_le(finish, set[k].deadline, kPlanSlackEps),
+    QES_ASSERT_MSG(approx_le(finish, j.deadline, kPlanSlackEps),
                    "fixed-speed plan must meet deadlines");
-    out.plan.push({t, finish, set[k].id, speed});
-    out.planned[set[k].id] = rem;
+    out.plan.push({t, finish, j.id, speed});
+    out.planned[j.id] = rem;
     t = finish;
   }
 }
@@ -210,9 +215,10 @@ void DesPlanner::eager_timetable_into(const CoreView& core, Time now,
 // the cost — in particular it is NEVER taken when the wake energy alone
 // exceeds the idle-interval saving (the break-even test), which the
 // power-label property suite asserts.
+template <typename RaceCap>
 void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
                                     const PowerModel& pm, Time now,
-                                    Speed race_cap, Speed critical_speed,
+                                    RaceCap race_cap, Speed critical_speed,
                                     std::optional<Joules>* stretch_memo,
                                     CoreOutcome& out) {
   if (!opt.race_to_idle || !pm.has_sleep()) return;
@@ -230,9 +236,11 @@ void DesPlanner::maybe_race_to_idle(const PlanOptions& opt,
   // (and makes the decision lose globally when an arrival truncates the
   // sleep), while racing below the plan's own top speed would stretch
   // it instead — if the clamp leaves no headroom over `top` there is
-  // nothing to race.
-  const Speed race_speed = std::min(race_cap, std::max(top, critical_speed));
-  if (race_speed <= top + kTimeEps || volume <= kTimeEps) return;
+  // nothing to race. With s* <= top + kTimeEps the clamp leaves none
+  // whatever the cap, so only a core past that exit evaluates its cap.
+  if (critical_speed <= top + kTimeEps || volume <= kTimeEps) return;
+  const Speed race_speed = std::min(race_cap(), std::max(top, critical_speed));
+  if (race_speed <= top + kTimeEps) return;
   const Time race_end = now + volume / race_speed;
   const Time gap_ms = segs.back().t1 - race_end;
   // The gap must amortize the wake transition: longer than both the
@@ -326,23 +334,22 @@ void DesPlanner::budget_bounded_plan_into(const CoreView& core, Time now,
     baselines_.push_back(vj.processed);
   }
   if (jobs.empty()) return;
-  set_tmp_.assign(jobs);
-  const AgreeableJobSet& set = set_tmp_;
-  quality_opt_into(set, max_speed, baselines_, qopt_scratch_, qopt_out_);
+  // Canonical view order at one release: the kernels' order, with
+  // baselines_ aligned to it; step2 keeps it.
+  quality_opt_into(jobs, max_speed, baselines_, qopt_scratch_, qopt_out_);
   const QualityOptResult& q = qopt_out_;
 
   std::vector<Job>& step2 = jobs_tmp2_;
   step2.clear();
-  for (std::size_t k = 0; k < set.size(); ++k) {
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
     if (q.volumes[k] <= kTimeEps) continue;
-    Job j = set[k];
+    Job j = jobs[k];
     j.demand = q.volumes[k];
     out.planned[j.id] = q.volumes[k];
     step2.push_back(j);
   }
   if (step2.empty()) return;
-  set_tmp2_.assign(step2);
-  yds_schedule_capped_into(set_tmp2_, max_speed, yds_scratch_, yds_out_);
+  yds_schedule_capped_into(step2, max_speed, yds_scratch_, yds_out_);
   out.plan = yds_out_.schedule;
   for (auto& [id, planned] : out.planned) {
     planned = std::min(planned, out.plan.volume_of(id));
@@ -358,36 +365,30 @@ void DesPlanner::weighted_budget_bounded_plan_into(
   out.plan.clear();
   out.planned.clear();
   if (max_speed <= kTimeEps || core.jobs.empty()) return;
+  // With every release at `now` the canonical view order is the kernels'
+  // (release, deadline, id) order, so weights and baselines align by index.
   std::vector<Job>& jobs = jobs_tmp_;
   jobs.clear();
   jobs.reserve(core.jobs.size());
+  weights_.clear();
+  baselines_.clear();
   for (const ViewJob& vj : core.jobs) {
     jobs.push_back(Job{.id = vj.id,
                        .release = now,
                        .deadline = vj.deadline,
                        .demand = vj.demand,
                        .weight = vj.weight});
+    weights_.push_back(vj.weight);
+    baselines_.push_back(vj.processed);
   }
-  set_tmp_.assign(jobs);
-  const AgreeableJobSet& set = set_tmp_;
-  // AgreeableJobSet sorts by (release, deadline, id); with every release
-  // equal to `now` that is exactly the canonical view order, so weights
-  // and baselines align by index.
-  weights_.clear();
-  baselines_.clear();
-  for (std::size_t k = 0; k < set.size(); ++k) {
-    QES_ASSERT(set[k].id == core.jobs[k].id);
-    weights_.push_back(core.jobs[k].weight);
-    baselines_.push_back(core.jobs[k].processed);
-  }
-  const auto q = weighted_quality_opt_schedule(set, max_speed, weights_,
+  const auto q = weighted_quality_opt_schedule(jobs, max_speed, weights_,
                                                quality, baselines_);
 
   std::vector<Job>& step2 = jobs_tmp2_;
   step2.clear();
-  for (std::size_t k = 0; k < set.size(); ++k) {
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
     if (q.volumes[k] <= kTimeEps) continue;
-    Job j = set[k];
+    Job j = jobs[k];
     j.demand = q.volumes[k];
     out.planned[j.id] = q.volumes[k];
     step2.push_back(j);
@@ -397,8 +398,7 @@ void DesPlanner::weighted_budget_bounded_plan_into(
     eager_timetable_into(core, now, out.planned, max_speed, out.plan);
     return;
   }
-  set_tmp2_.assign(step2);
-  yds_schedule_capped_into(set_tmp2_, max_speed, yds_scratch_, yds_out_);
+  yds_schedule_capped_into(step2, max_speed, yds_scratch_, yds_out_);
   out.plan = yds_out_.schedule;
   for (auto& [id, planned] : out.planned) {
     planned = std::min(planned, out.plan.volume_of(id));
@@ -564,14 +564,15 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
     // On the fast path no per-core budget was derived; racing at the
     // equal share H/m keeps the worst-case aggregate within H.
     const Watts share = view.power_budget / static_cast<double>(m);
-    const Speed share_cap =
-        race ? share_cap_.get({share, pm.a, pm.beta},
-                              [&] { return pm.speed_for_dynamic_power(share); })
-             : 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       out.cores[i].plan = free_plans_[i].plan;
       if (race) {
-        const Speed cap = std::min(share_cap, view.cores[i].speed_cap);
+        const auto cap = [&] {
+          return std::min(
+              share_cap_.get({share, pm.a, pm.beta},
+                             [&] { return pm.speed_for_dynamic_power(share); }),
+              view.cores[i].speed_cap);
+        };
         maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
                            &stretch_energy_[i], out.cores[i]);
       }
@@ -634,8 +635,8 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
           },
           out.cores[i]);
       if (race) {
-        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed, nullptr,
-                           out.cores[i]);
+        maybe_race_to_idle(opt, pm, view.now, [cap] { return cap; },
+                           critical_speed, nullptr, out.cores[i]);
       }
     }
     return;

@@ -235,18 +235,21 @@ class DesPlanner {
                                    const FlatVolumeMap& planned,
                                    Speed max_speed, Schedule& out);
   /// Race-to-idle vs. stretch for one planned core (C-DVFS continuous
-  /// path only): when racing the granted volumes flat-out at `race_cap`
-  /// and then parking beats the stretched plan's energy — dynamic
-  /// premium vs. static saving over the created idle gap, net of the
-  /// wake transition cost — rewrites `out.plan` to the race timetable
-  /// and sets `out.sleep_after`. No-op unless the model has a sleep
-  /// state and `opt.race_to_idle` is set. `critical_speed` is
-  /// pm.critical_speed(), kept across planning calls in critical_speed_.
-  /// `stretch_memo` is the core's stretch-energy slot when `out.plan` is
-  /// its step-2 plan (the fast path), else nullptr: a priced slot is
-  /// read instead of re-pricing the plan, an empty one is filled.
+  /// path only): when racing the granted volumes flat-out at the cap
+  /// `race_cap()` returns and then parking beats the stretched plan's
+  /// energy — dynamic premium vs. static saving over the created idle
+  /// gap, net of the wake transition cost — rewrites `out.plan` to the
+  /// race timetable and sets `out.sleep_after`. No-op unless the model
+  /// has a sleep state and `opt.race_to_idle` is set. `race_cap` is
+  /// called only for a plan whose top speed leaves room below
+  /// `critical_speed`, pm.critical_speed() kept across planning calls
+  /// in critical_speed_. `stretch_memo` is the core's stretch-energy
+  /// slot when `out.plan` is its step-2 plan (the fast path), else
+  /// nullptr: a priced slot is read instead of re-pricing the plan, an
+  /// empty one is filled.
+  template <typename RaceCap>
   void maybe_race_to_idle(const PlanOptions& opt, const PowerModel& pm,
-                          Time now, Speed race_cap, Speed critical_speed,
+                          Time now, RaceCap race_cap, Speed critical_speed,
                           std::optional<Joules>* stretch_memo,
                           CoreOutcome& out);
   static void quantize_plan_into(const Schedule& plan, Time now,
@@ -326,8 +329,6 @@ class DesPlanner {
   std::vector<Speed> speeds_;
   std::vector<Job> jobs_tmp_;
   std::vector<Job> jobs_tmp2_;
-  AgreeableJobSet set_tmp_;
-  AgreeableJobSet set_tmp2_;
   YdsScratch yds_scratch_;
   YdsResult yds_out_;
   QualityOptScratch qopt_scratch_;

@@ -12,46 +12,60 @@ void waterfill_power_into(std::span<const Watts> requested, Watts budget,
                           std::vector<Watts>& out) {
   QES_ASSERT(budget >= 0.0);
   const std::size_t m = requested.size();
-  std::vector<Watts>& assigned = out;
-  assigned.assign(m, 0.0);
-  Watts remaining = budget;
+  out.assign(m, 0.0);
+  for (Watts h : requested) QES_ASSERT(h >= 0.0);
 
   // The paper's iterative formulation: repeatedly raise every unsatisfied
   // core by the smallest outstanding request, or split the remainder
-  // evenly when it no longer covers that raise.
-  std::vector<Watts>& outstanding = scratch.outstanding;
-  outstanding.assign(requested.begin(), requested.end());
-  for (Watts& h : outstanding) QES_ASSERT(h >= 0.0);
+  // evenly when it no longer covers that raise. A core is unsatisfied
+  // while its outstanding request (its request less every raise so far,
+  // subtracted in order) exceeds kTimeEps.
+  //
+  // Rounding is monotone, so subtracting one raise from every
+  // outstanding request keeps them in request order: with the cores
+  // sorted by request once, the unsatisfied cores are always a suffix,
+  // the smallest outstanding request is the front core's, and only the
+  // front core's needs evaluating. Every unsatisfied core has received
+  // the same raises in the same order, so one shared assignment `level`
+  // stands for all of them; a core that retires keeps the level of its
+  // last round. `remaining` still pays each unsatisfied core's raise one
+  // subtraction at a time, as the per-core loop did: its bits depend on
+  // that chain.
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return requested[a] < requested[b];
+  });
+  std::vector<Watts>& raises = scratch.raises;
+  raises.clear();
+
+  std::size_t front = 0;  // cores order[0..front) are satisfied
+  while (front < m && requested[order[front]] <= kTimeEps) ++front;
+  Watts front_outstanding = front < m ? requested[order[front]] : 0.0;
+  Watts remaining = budget;
+  Watts level = 0.0;
   while (true) {
-    std::size_t unsatisfied = 0;
-    Watts h_min = 0.0;
-    bool first = true;
-    for (Watts h : outstanding) {
-      if (h > kTimeEps) {
-        ++unsatisfied;
-        if (first || h < h_min) {
-          h_min = h;
-          first = false;
-        }
-      }
-    }
-    if (unsatisfied == 0 || remaining <= kTimeEps) break;
+    if (front == m || remaining <= kTimeEps) break;
+    const std::size_t unsatisfied = m - front;
+    const Watts h_min = front_outstanding;
     if (h_min * static_cast<double>(unsatisfied) >= remaining) {
-      const Watts share = remaining / static_cast<double>(unsatisfied);
-      for (std::size_t i = 0; i < m; ++i) {
-        if (outstanding[i] > kTimeEps) assigned[i] += share;
-      }
-      remaining = 0.0;
+      level += remaining / static_cast<double>(unsatisfied);
       break;
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (outstanding[i] > kTimeEps) {
-        assigned[i] += h_min;
-        outstanding[i] -= h_min;
-        remaining -= h_min;
-      }
+    level += h_min;
+    for (std::size_t k = 0; k < unsatisfied; ++k) remaining -= h_min;
+    raises.push_back(h_min);
+    front_outstanding -= h_min;
+    while (front_outstanding <= kTimeEps) {
+      out[order[front]] = level;
+      if (++front == m) break;
+      Watts h = requested[order[front]];
+      for (Watts r : raises) h -= r;
+      front_outstanding = h;
     }
   }
+  for (std::size_t k = front; k < m; ++k) out[order[k]] = level;
 }
 
 std::vector<Watts> waterfill_power(std::span<const Watts> requested,

@@ -22,14 +22,18 @@ namespace qes {
 [[nodiscard]] std::vector<Watts> waterfill_power(
     std::span<const Watts> requested, Watts budget);
 
-/// Reusable buffer for the scratch variant.
+/// Reusable buffers for the scratch variant.
 struct WaterfillPowerScratch {
-  std::vector<Watts> outstanding;
+  std::vector<std::size_t> order;  // cores by ascending request
+  std::vector<Watts> raises;       // the raise of every round so far
 };
 
 /// Identical arithmetic to waterfill_power, writing the assignment into
 /// `out` and drawing temporaries from `scratch` (zero-allocation steady
-/// state).
+/// state). It keeps the paper's rounds, bit for bit, but sorts the cores
+/// by request once instead of rescanning all of them every round: a
+/// round costs one subtraction per unsatisfied core, and a core's
+/// outstanding request is evaluated only when it reaches the front.
 void waterfill_power_into(std::span<const Watts> requested, Watts budget,
                           WaterfillPowerScratch& scratch,
                           std::vector<Watts>& out);

@@ -213,6 +213,10 @@ class RuntimeCore {
 
   [[nodiscard]] CoreCounters counters() const;
 
+  /// counters().planned_power alone: the dynamic power the installed
+  /// plans draw at now() (the cluster samples it at every broker tick).
+  [[nodiscard]] Watts planned_power_now() const;
+
   /// Admitted jobs not yet finalized (waiting + assigned): the
   /// dispatcher's depth signal, read without evaluating planned power.
   [[nodiscard]] std::size_t live_jobs() const {
@@ -263,7 +267,6 @@ class RuntimeCore {
   /// (refilling view_'s buffers in place — no steady-state allocation).
   void build_view() const;
   [[nodiscard]] bool core_idle(int core) const;
-  [[nodiscard]] Watts planned_power_now() const;
 
   RuntimeConfig cfg_;
   CumulativeRoundRobin crr_;

@@ -9,7 +9,6 @@
 #include "cluster/dispatch.hpp"
 #include "core/assert.hpp"
 #include "multicore/des_scheduler.hpp"
-#include "sched/qe_opt.hpp"
 #include "sched/quality_opt.hpp"
 #include "vod/session.hpp"
 #include "vod/video.hpp"
@@ -67,6 +66,8 @@ EngineConfig engine_config(const ScenarioSpec& spec,
 /// migratory core at that speed relaxes the partitioned problem — so
 /// Quality-OPT's total at that speed upper-bounds any online multicore
 /// schedule. H under budget steps is bounded by the largest H in force.
+/// The bound reads only QE-OPT's volumes, which are Quality-OPT's, so
+/// QE-OPT's energy step (YDS) is not run.
 double qe_opt_bound(const std::vector<Job>& jobs, const EngineConfig& cfg,
                     int total_cores) {
   Watts h = cfg.power_budget;
@@ -75,7 +76,7 @@ double qe_opt_bound(const std::vector<Job>& jobs, const EngineConfig& cfg,
   }
   const double m = static_cast<double>(total_cores);
   const Speed aggregate = m * cfg.power_model.speed_for_dynamic_power(h / m);
-  const auto opt = qe_opt_schedule(AgreeableJobSet(jobs), aggregate);
+  const auto opt = quality_opt_schedule(AgreeableJobSet(jobs), aggregate);
   return total_quality(opt.volumes, cfg.quality);
 }
 

@@ -50,11 +50,13 @@ void online_qe_into(Time now, std::span<const ReadyJob> jobs,
     adjusted.push_back(j);
   }
   if (adjusted.empty()) return;
-  scratch.step1_set.assign(adjusted);
-  const AgreeableJobSet& step1_set = scratch.step1_set;
+  // Callers hand the ready jobs over in deadline order with the running
+  // job first, which its rewound release keeps first: already sorted, so
+  // this is one O(n) check.
+  sort_by_release(adjusted);
 
   // Step 1: Quality-OPT at max speed fixes total volumes p_j.
-  quality_opt_into(step1_set, max_speed, {}, scratch.qopt_scratch,
+  quality_opt_into(adjusted, max_speed, {}, scratch.qopt_scratch,
                    scratch.qopt);
   const QualityOptResult& q = scratch.qopt;
 
@@ -62,9 +64,9 @@ void online_qe_into(Time now, std::span<const ReadyJob> jobs,
   // everything at `now`, and let YDS pick the speeds from now onward.
   std::vector<Job>& step2 = scratch.step2;
   step2.clear();
-  step2.reserve(step1_set.size());
-  for (std::size_t k = 0; k < step1_set.size(); ++k) {
-    Job j = step1_set[k];
+  step2.reserve(adjusted.size());
+  for (std::size_t k = 0; k < adjusted.size(); ++k) {
+    Job j = adjusted[k];
     Work planned = q.volumes[k];
     if (j.release < now - kTimeEps) {
       // Running job: subtract the already-processed volume.
@@ -77,9 +79,11 @@ void online_qe_into(Time now, std::span<const ReadyJob> jobs,
     step2.push_back(j);
   }
   if (step2.empty()) return;
-  scratch.step2_set.assign(step2);
+  // Re-released at `now`, the list orders by deadline alone, and the
+  // running job may trail another deadline by under kTimeEps.
+  sort_by_release(step2);
 
-  yds_schedule_capped_into(scratch.step2_set, max_speed, scratch.yds_scratch,
+  yds_schedule_capped_into(step2, max_speed, scratch.yds_scratch,
                            scratch.yds);
   out.schedule = scratch.yds.schedule;
   // Planned volumes follow the (possibly hair's-breadth rescaled)

@@ -42,8 +42,6 @@ struct OnlineQeResult {
 struct OnlineQeScratch {
   std::vector<Job> adjusted;
   std::vector<Job> step2;
-  AgreeableJobSet step1_set;
-  AgreeableJobSet step2_set;
   QualityOptScratch qopt_scratch;
   QualityOptResult qopt;
   YdsScratch yds_scratch;

@@ -9,6 +9,15 @@
 // compresses the interval out of the timeline and recurses. Because all
 // jobs share one concave quality function, equalizing deprived volumes is
 // optimal.
+//
+// The search is incremental. Agreeable deadlines make the jobs contained
+// in [r_a, d_b] the contiguous range a..b of the ordered list, so for each
+// start a it grows the end b one job at a time: the new job's two
+// breakpoints go into sorted start and end lists, the all-fit test reads
+// a running sum, and only the level is swept (waterfill_sweep_level, the
+// water-fill's own sweep). The winning interval alone gets the full
+// water-fill with its per-job volumes. Per round that is O(n^2)
+// candidates at O(n) each.
 #pragma once
 
 #include <span>
@@ -56,6 +65,9 @@ struct QualityOptScratch {
   };
   std::vector<Window> win;
   std::vector<std::size_t> act;
+  // The search's sorted breakpoint lists for the current start.
+  std::vector<Work> starts;
+  std::vector<Work> ends;
   std::vector<Work> caps;
   std::vector<Work> bases;
   std::vector<std::size_t> contained;
@@ -63,9 +75,12 @@ struct QualityOptScratch {
   WaterfillResult wf;
 };
 
-/// Identical arithmetic to quality_opt_schedule, writing into `out` and
-/// drawing temporaries from `scratch` (zero-allocation steady state).
-void quality_opt_into(const AgreeableJobSet& set, Speed speed,
+/// quality_opt_schedule over `jobs`, writing into `out` and drawing
+/// temporaries from `scratch` (zero-allocation steady state). `jobs` must
+/// already be what an AgreeableJobSet holds — (release, deadline, id)
+/// order, agreeable, non-negative demands, positive windows — which
+/// assert_agreeable_order checks; `baselines` and `volumes` align with it.
+void quality_opt_into(std::span<const Job> jobs, Speed speed,
                       std::span<const Work> baselines,
                       QualityOptScratch& scratch, QualityOptResult& out);
 

@@ -42,20 +42,21 @@ MarginalAllocResult interval_alloc(const std::vector<Work>& caps,
 }  // namespace
 
 WeightedQualityResult weighted_quality_opt_schedule(
-    const AgreeableJobSet& set, Speed speed, std::span<const double> weights,
+    std::span<const Job> jobs, Speed speed, std::span<const double> weights,
     const QualityFunction& f, std::span<const Work> baselines) {
   QES_ASSERT(speed > 0.0);
-  QES_ASSERT(weights.size() == set.size());
-  QES_ASSERT(baselines.empty() || baselines.size() == set.size());
+  assert_agreeable_order(jobs);
+  QES_ASSERT(weights.size() == jobs.size());
+  QES_ASSERT(baselines.empty() || baselines.size() == jobs.size());
   for (double omega : weights) QES_ASSERT(omega > 0.0);
-  const std::size_t n = set.size();
+  const std::size_t n = jobs.size();
   WeightedQualityResult out;
   out.volumes.assign(n, 0.0);
 
   std::vector<Window> win(n);
   std::size_t remaining = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const Job& j = set[k];
+    const Job& j = jobs[k];
     const Work base = baselines.empty() ? 0.0 : baselines[k];
     win[k] = {j.release, j.deadline, j.demand, base, weights[k],
               j.demand - base > kTimeEps};
@@ -104,7 +105,7 @@ WeightedQualityResult weighted_quality_opt_schedule(
 
     if (all_satisfiable) {
       for (std::size_t k : act) {
-        out.volumes[k] = set[k].demand - win[k].base;
+        out.volumes[k] = jobs[k].demand - win[k].base;
         win[k].active = false;
       }
       remaining = 0;
@@ -143,13 +144,13 @@ WeightedQualityResult weighted_quality_opt_schedule(
   // FIFO timetable at the fixed speed, with truncation repair: clip any
   // allocation that cannot finish by its deadline (see the result's
   // `truncated` doc for why this can happen under heterogeneous weights).
-  Time t = n > 0 ? set[0].release : 0.0;
+  Time t = n > 0 ? jobs[0].release : 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     Work p = out.volumes[k];
     const Work base = baselines.empty() ? 0.0 : baselines[k];
     if (p > kTimeEps) {
-      const Time start = std::max(t, set[k].release);
-      const Time available = set[k].deadline - start;
+      const Time start = std::max(t, jobs[k].release);
+      const Time available = jobs[k].deadline - start;
       if (p / speed > available + 1e-9) {
         p = std::max(0.0, available * speed);
         out.volumes[k] = p;
@@ -157,7 +158,7 @@ WeightedQualityResult weighted_quality_opt_schedule(
       }
       if (p > kTimeEps) {
         const Time finish = start + p / speed;
-        out.schedule.push({start, finish, set[k].id, speed});
+        out.schedule.push({start, finish, jobs[k].id, speed});
         t = finish;
       }
     }

@@ -35,14 +35,15 @@ struct WeightedQualityResult {
   bool truncated = false;
 };
 
-/// Runs the weighted generalization of Quality-OPT on `set` at fixed
-/// `speed`. `weights` are per-job, aligned with the SORTED order of the
-/// set, all positive. `f` is the shared concave quality shape. Optional
-/// `baselines` (same alignment) hold volume already received; `volumes`
-/// then returns the NEW volume per job and the objective counts
-/// f(baseline + new).
+/// Runs the weighted generalization of Quality-OPT on `jobs` at fixed
+/// `speed`. `jobs` must be what an AgreeableJobSet holds (offline callers
+/// pass set.jobs()); assert_agreeable_order checks it. `weights` are
+/// per-job, aligned with `jobs`, all positive. `f` is the shared concave
+/// quality shape. Optional `baselines` (same alignment) hold volume
+/// already received; `volumes` then returns the NEW volume per job and
+/// the objective counts f(baseline + new).
 [[nodiscard]] WeightedQualityResult weighted_quality_opt_schedule(
-    const AgreeableJobSet& set, Speed speed, std::span<const double> weights,
+    std::span<const Job> jobs, Speed speed, std::span<const double> weights,
     const QualityFunction& f, std::span<const Work> baselines = {});
 
 }  // namespace qes

@@ -19,10 +19,11 @@ Time compress(Time x, Time z, Time z2) {
 
 }  // namespace
 
-void yds_schedule_into(const AgreeableJobSet& set, YdsScratch& scratch,
+void yds_schedule_into(std::span<const Job> jobs, YdsScratch& scratch,
                        YdsResult& out) {
   using Window = YdsScratch::Window;
-  const std::size_t n = set.size();
+  assert_agreeable_order(jobs);
+  const std::size_t n = jobs.size();
   out.speeds.assign(n, 0.0);
   out.schedule.clear();
   out.critical_speed = 0.0;
@@ -31,7 +32,7 @@ void yds_schedule_into(const AgreeableJobSet& set, YdsScratch& scratch,
   win.resize(n);
   std::size_t remaining = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const Job& j = set[k];
+    const Job& j = jobs[k];
     win[k] = {j.release, j.deadline, j.demand, j.demand > kTimeEps};
     if (win[k].active) ++remaining;
   }
@@ -93,9 +94,9 @@ void yds_schedule_into(const AgreeableJobSet& set, YdsScratch& scratch,
 
   // Timetable: FIFO (== EDF for agreeable deadlines) at per-job speeds.
   Time t = 0.0;
-  if (n > 0) t = set[0].release;
+  if (n > 0) t = jobs[0].release;
   for (std::size_t k = 0; k < n; ++k) {
-    const Job& j = set[k];
+    const Job& j = jobs[k];
     if (j.demand <= kTimeEps) continue;
     const Speed s = out.speeds[k];
     QES_ASSERT(s > 0.0);
@@ -108,11 +109,11 @@ void yds_schedule_into(const AgreeableJobSet& set, YdsScratch& scratch,
   }
 }
 
-void yds_schedule_capped_into(const AgreeableJobSet& set, Speed max_speed,
+void yds_schedule_capped_into(std::span<const Job> jobs, Speed max_speed,
                               YdsScratch& scratch, YdsResult& out,
                               double max_rel_excess) {
   QES_ASSERT(max_speed > 0.0);
-  yds_schedule_into(set, scratch, out);
+  yds_schedule_into(jobs, scratch, out);
   if (out.critical_speed <= max_speed) return;
   const double excess = out.critical_speed / max_speed - 1.0;
   QES_ASSERT_MSG(excess <= max_rel_excess,
@@ -120,17 +121,17 @@ void yds_schedule_capped_into(const AgreeableJobSet& set, Speed max_speed,
                  "floating-point drift can explain");
   // Rescale demands so the critical speed lands just under the cap.
   const double scale = (1.0 - 1e-12) / (1.0 + excess);
-  scratch.scaled.assign(set.jobs().begin(), set.jobs().end());
+  // Scaling demands keeps the (release, deadline, id) order.
+  scratch.scaled.assign(jobs.begin(), jobs.end());
   for (Job& j : scratch.scaled) j.demand *= scale;
-  scratch.scaled_set.assign(scratch.scaled);
-  yds_schedule_into(scratch.scaled_set, scratch, out);
+  yds_schedule_into(scratch.scaled, scratch, out);
   QES_ASSERT(out.critical_speed <= max_speed);
 }
 
 YdsResult yds_schedule(const AgreeableJobSet& set) {
   YdsScratch scratch;
   YdsResult out;
-  yds_schedule_into(set, scratch, out);
+  yds_schedule_into(set.jobs(), scratch, out);
   return out;
 }
 
@@ -138,7 +139,8 @@ YdsResult yds_schedule_capped(const AgreeableJobSet& set, Speed max_speed,
                               double max_rel_excess) {
   YdsScratch scratch;
   YdsResult out;
-  yds_schedule_capped_into(set, max_speed, scratch, out, max_rel_excess);
+  yds_schedule_capped_into(set.jobs(), max_speed, scratch, out,
+                           max_rel_excess);
   return out;
 }
 

@@ -11,6 +11,7 @@
 // with each job executed at its assigned speed, non-preemptively.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/job.hpp"
@@ -28,8 +29,11 @@ struct YdsResult {
 };
 
 /// Computes the YDS schedule for `set`. Every job is completed in full by
-/// its deadline; jobs with zero demand are skipped. O(n^3) worst case with
-/// O(1) interval intensities; the online invocations use tiny n.
+/// its deadline; jobs with zero demand are skipped. Each round scans the
+/// O(n^2) candidate intervals with O(1) intensities from a prefix sum
+/// over the active jobs, and removes at least one job, so O(n^3) worst
+/// case; with one common release (every online call) only the first
+/// start survives the tie skip and a round costs O(n).
 [[nodiscard]] YdsResult yds_schedule(const AgreeableJobSet& set);
 
 /// yds_schedule with a speed cap for callers whose demands were sized to
@@ -56,16 +60,18 @@ struct YdsScratch {
   std::vector<std::size_t> act;
   std::vector<Work> prefix;
   std::vector<Job> scaled;
-  AgreeableJobSet scaled_set;
 };
 
-/// Identical arithmetic to yds_schedule, writing into `out` and drawing
-/// temporaries from `scratch` (zero-allocation steady state).
-void yds_schedule_into(const AgreeableJobSet& set, YdsScratch& scratch,
+/// yds_schedule over `jobs`, writing into `out` and drawing temporaries
+/// from `scratch` (zero-allocation steady state). `jobs` must already be
+/// what an AgreeableJobSet holds — (release, deadline, id) order,
+/// agreeable, non-negative demands, positive windows — which
+/// assert_agreeable_order checks. `speeds` align with `jobs`.
+void yds_schedule_into(std::span<const Job> jobs, YdsScratch& scratch,
                        YdsResult& out);
 
-/// Scratch variant of yds_schedule_capped.
-void yds_schedule_capped_into(const AgreeableJobSet& set, Speed max_speed,
+/// Scratch variant of yds_schedule_capped, on the same span contract.
+void yds_schedule_capped_into(std::span<const Job> jobs, Speed max_speed,
                               YdsScratch& scratch, YdsResult& out,
                               double max_rel_excess = 1e-4);
 

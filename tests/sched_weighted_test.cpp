@@ -18,7 +18,7 @@ TEST(WeightedQuality, EqualWeightsReduceToQualityOpt) {
     AgreeableJobSet set(jobs);
     const Speed s = rng.uniform(0.4, 1.5);
     const std::vector<double> w(set.size(), 1.0);
-    const auto weighted = weighted_quality_opt_schedule(set, s, w, kF);
+    const auto weighted = weighted_quality_opt_schedule(set.jobs(), s, w, kF);
     const auto plain = quality_opt_schedule(set, s);
     for (std::size_t k = 0; k < set.size(); ++k) {
       EXPECT_NEAR(weighted.volumes[k], plain.volumes[k], 1.5)
@@ -35,7 +35,7 @@ TEST(WeightedQuality, PremiumJobsGetMoreVolumeUnderOverload) {
       {.id = 2, .release = 0.0, .deadline = 100.0, .demand = 200.0},
   });
   const std::vector<double> w = {3.0, 1.0};
-  const auto r = weighted_quality_opt_schedule(set, 1.0, w, kF);
+  const auto r = weighted_quality_opt_schedule(set.jobs(), 1.0, w, kF);
   EXPECT_NEAR(r.volumes[0], 100.0, 1.0);
   EXPECT_NEAR(r.volumes[1], 0.0, 1.0);
 }
@@ -50,7 +50,7 @@ TEST(WeightedQuality, InteriorKktSpacing) {
       {.id = 2, .release = 0.0, .deadline = 250.0, .demand = 200.0},
   });
   const std::vector<double> w = {3.0, 1.0};
-  const auto r = weighted_quality_opt_schedule(set, 1.0, w, f);
+  const auto r = weighted_quality_opt_schedule(set.jobs(), 1.0, w, f);
   EXPECT_NEAR(r.volumes[0] + r.volumes[1], 250.0, 1.0);
   EXPECT_NEAR(r.volumes[0] - r.volumes[1], std::log(3.0) / 0.01, 3.0);
 }
@@ -61,7 +61,7 @@ TEST(WeightedQuality, AmpleCapacitySatisfiesEveryone) {
       {.id = 2, .release = 50.0, .deadline = 200.0, .demand = 80.0},
   });
   const std::vector<double> w = {1.0, 5.0};
-  const auto r = weighted_quality_opt_schedule(set, 10.0, w, kF);
+  const auto r = weighted_quality_opt_schedule(set.jobs(), 10.0, w, kF);
   EXPECT_NEAR(r.volumes[0], 100.0, 1e-6);
   EXPECT_NEAR(r.volumes[1], 80.0, 1e-6);
 }
@@ -81,7 +81,7 @@ TEST_P(WeightedPropertyTest, FeasibleAndWithinDemand) {
       w.push_back(rng.bernoulli(0.3) ? 4.0 : 1.0);
     }
     const Speed s = rng.uniform(0.4, 1.5);
-    const auto r = weighted_quality_opt_schedule(set, s, w, kF);
+    const auto r = weighted_quality_opt_schedule(set.jobs(), s, w, kF);
     r.schedule.check_well_formed();
     r.schedule.check_respects_windows(set.jobs());
     for (std::size_t k = 0; k < set.size(); ++k) {
@@ -104,7 +104,7 @@ TEST_P(WeightedPropertyTest, DominatesUnweightedOnWeightedObjective) {
       w.push_back(rng.uniform(0.5, 5.0));
     }
     const Speed s = rng.uniform(0.3, 0.9);  // force scarcity
-    const auto weighted = weighted_quality_opt_schedule(set, s, w, kF);
+    const auto weighted = weighted_quality_opt_schedule(set.jobs(), s, w, kF);
     const auto plain = quality_opt_schedule(set, s);
     double plain_score = 0.0;
     for (std::size_t k = 0; k < set.size(); ++k) {
@@ -129,7 +129,7 @@ TEST_P(WeightedPropertyTest, NoFeasiblePairwiseTransferImproves) {
   AgreeableJobSet set(jobs);
   std::vector<double> w;
   for (std::size_t k = 0; k < n; ++k) w.push_back(rng.uniform(0.5, 4.0));
-  const auto r = weighted_quality_opt_schedule(set, 0.8, w, kF);
+  const auto r = weighted_quality_opt_schedule(set.jobs(), 0.8, w, kF);
   const double base = r.weighted_quality;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
