@@ -19,8 +19,19 @@ SECONDS_SEND="${NET_SMOKE_SECONDS:-2}"
 
 workdir="$(mktemp -d)"
 qesd_pid=""
+# On a failed exit (set -e stops at a qes_loadgen or qesd that exits
+# non-zero, before anything is printed) show what both processes wrote
+# before the work directory goes.
 cleanup() {
+  local status=$?
   [[ -n "${qesd_pid}" ]] && kill "${qesd_pid}" 2>/dev/null || true
+  if [[ "${status}" -ne 0 ]]; then
+    for f in qesd.out qesd.err loadgen.out; do
+      [[ -f "${workdir}/${f}" ]] || continue
+      echo "net_smoke: --- ${f} ---" >&2
+      cat "${workdir}/${f}" >&2
+    done
+  fi
   rm -rf "${workdir}"
 }
 trap cleanup EXIT

@@ -471,6 +471,7 @@ void DesPlanner::plan_no_dvfs(WorldView& view, const PlanOptions& opt,
                               PlanOutcome& out) {
   QES_ASSERT(view.power_model != nullptr && !view.cores.empty());
   canonicalize(view);
+  last_reads_ = FastPathReads{};
   const PowerModel& pm = *view.power_model;
   const std::size_t m = view.cores.size();
   out.reset(m);
@@ -494,6 +495,7 @@ void DesPlanner::plan_s_dvfs(WorldView& view, const PlanOptions& opt,
                              PlanOutcome& out) {
   QES_ASSERT(view.power_model != nullptr && !view.cores.empty());
   canonicalize(view);
+  last_reads_ = FastPathReads{};
   const PowerModel& pm = *view.power_model;
   const std::size_t m = view.cores.size();
   out.reset(m);
@@ -523,10 +525,21 @@ void DesPlanner::plan_s_dvfs(WorldView& view, const PlanOptions& opt,
   }
 }
 
+bool DesPlanner::last_outcome_holds(Watts budget) const {
+  const FastPathReads& r = last_reads_;
+  // The fast path's test reads H only through total_request; its top
+  // speed test reads no H.
+  if (!r.fast || !(r.total_request <= budget + kTimeEps)) return false;
+  if (!r.cap_read) return true;
+  const Watts share = budget / static_cast<double>(r.cores);
+  return r.share >= r.share_floor && share >= r.share_floor;
+}
+
 void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
                              PlanOutcome& out) {
   QES_ASSERT(view.power_model != nullptr && !view.cores.empty());
   canonicalize(view);
+  last_reads_ = FastPathReads{};
   const PowerModel& pm = *view.power_model;
   const std::size_t m = view.cores.size();
   out.reset(m);
@@ -551,10 +564,13 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
   // Race-to-idle is live only with a sleep state configured; the guard
   // keeps the b=0 pipelines (and their allocations) bitwise untouched.
   const bool race = opt.race_to_idle && pm.has_sleep() && continuous;
-  const Speed critical_speed =
-      race ? critical_speed_.get({pm.a, pm.beta, pm.b, pm.sleep_power},
-                                 [&] { return pm.critical_speed(); })
-           : 0.0;
+  const Critical critical =
+      race ? critical_.get({pm.a, pm.beta, pm.b, pm.sleep_power},
+                           [&] {
+                             const Speed s = pm.critical_speed();
+                             return Critical{s, pm.dynamic_power(s)};
+                           })
+           : Critical{};
 
   if (continuous && !opt.static_power && !opt.eager_execution &&
       total_request <= view.power_budget + kTimeEps &&
@@ -564,16 +580,25 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
     // On the fast path no per-core budget was derived; racing at the
     // equal share H/m keeps the worst-case aggregate within H.
     const Watts share = view.power_budget / static_cast<double>(m);
+    last_reads_ = {.fast = true,
+                   .total_request = total_request,
+                   .cores = m,
+                   .share = share,
+                   .share_floor = critical.power * (1.0 + kRaceShareMargin)};
     for (std::size_t i = 0; i < m; ++i) {
       out.cores[i].plan = free_plans_[i].plan;
       if (race) {
         const auto cap = [&] {
+          last_reads_.cap_read = true;
+          // Past the margin the share cap is above s*, and the race runs
+          // at min(speed cap, s*) whatever it is: skip its pow.
+          if (share >= last_reads_.share_floor) return view.cores[i].speed_cap;
           return std::min(
               share_cap_.get({share, pm.a, pm.beta},
                              [&] { return pm.speed_for_dynamic_power(share); }),
               view.cores[i].speed_cap);
         };
-        maybe_race_to_idle(opt, pm, view.now, cap, critical_speed,
+        maybe_race_to_idle(opt, pm, view.now, cap, critical.speed,
                            &stretch_energy_[i], out.cores[i]);
       }
     }
@@ -636,7 +661,7 @@ void DesPlanner::plan_c_dvfs(WorldView& view, const PlanOptions& opt,
           out.cores[i]);
       if (race) {
         maybe_race_to_idle(opt, pm, view.now, [cap] { return cap; },
-                           critical_speed, nullptr, out.cores[i]);
+                           critical.speed, nullptr, out.cores[i]);
       }
     }
     return;

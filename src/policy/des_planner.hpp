@@ -36,6 +36,16 @@
 // first fast-path race-to-idle check that needs it and emptied by every
 // miss, so it is only ever read for the plan it was priced from.
 //
+// Kept outcomes. A caller that would replan an unchanged view under a
+// new power budget H asks last_outcome_holds(H) first. It answers true
+// only when the last plan_c_dvfs call took the all-fits fast path, the
+// new H still passes that path's test total_request <= H + kTimeEps, and
+// H's only other read there, the equal-share race cap, cannot move the
+// outcome: no core evaluated it, or both the old and the new H/m are at
+// least P(s*)·(1 + kRaceShareMargin), where every race speed is
+// min(speed cap, s*) whatever H is. The last outcome is then bit for bit
+// what a replan under the new H would return.
+//
 // Phase timings for every pipeline stage go to the unified histogram
 // family `qes_replan_phase_ms{plane=...,phase=...}` — one family for all
 // planes, distinguished by the `plane` label passed at construction.
@@ -66,6 +76,15 @@ namespace qes::policy {
 inline constexpr const char kReplanPhaseMetric[] = "qes_replan_phase_ms";
 inline constexpr const char kReplanPhaseHelp[] =
     "wall time per DES replan phase (ms)";
+
+/// Relative margin by which the equal share H/m must exceed P(s*), the
+/// dynamic power at the critical speed s*, for the fast path to take the
+/// share cap speed_for_dynamic_power(H/m) as above s* without evaluating
+/// it. Past the margin the exact cap exceeds s* by a factor of about
+/// 1 + 1e-9/β. For any realistic β that is far more than the error of
+/// the two pows between P(s*) and the computed cap, a few ulps
+/// (~1e-16 relative).
+inline constexpr double kRaceShareMargin = 1e-9;
 
 /// Pipeline variants. The defaults are the paper's execution model on
 /// continuous C-DVFS — exactly what the runtime plane serves.
@@ -200,6 +219,14 @@ class DesPlanner {
   /// plan_* call on the same inputs reuses it.
   [[nodiscard]] Watts total_power_request(const WorldView& view);
 
+  /// True when the outcome of the last plan_* call is, bit for bit, what
+  /// plan_c_dvfs returns under power budget `budget` on the same view and
+  /// options — the caller's to vouch for; only H may have moved (see
+  /// "Kept outcomes" in the file comment). Always false after a
+  /// plan_no_dvfs or plan_s_dvfs call, or a plan_c_dvfs call that left
+  /// the fast path.
+  [[nodiscard]] bool last_outcome_holds(Watts budget) const;
+
   /// Sorts every core's job list to (deadline, id) order — arrival order
   /// for agreeable workloads. Called by every plan_* entry; idempotent.
   static void canonicalize(WorldView& view);
@@ -243,7 +270,7 @@ class DesPlanner {
   /// has a sleep state and `opt.race_to_idle` is set. `race_cap` is
   /// called only for a plan whose top speed leaves room below
   /// `critical_speed`, pm.critical_speed() kept across planning calls
-  /// in critical_speed_. `stretch_memo` is the core's stretch-energy
+  /// in critical_. `stretch_memo` is the core's stretch-energy
   /// slot when `out.plan` is its step-2 plan (the fast path), else
   /// nullptr: a priced slot is read instead of re-pricing the plan, an
   /// empty one is filled.
@@ -291,18 +318,31 @@ class DesPlanner {
   // first fast-path race-to-idle check that reaches it; emptied by every
   // step-2 miss, so it never outlives the plan it was priced from.
   std::vector<std::optional<Joules>> stretch_energy_;
+  // What the last plan_* call's outcome read of H: nothing unless it took
+  // plan_c_dvfs's fast path (see last_outcome_holds).
+  struct FastPathReads {
+    bool fast = false;
+    Watts total_request = 0.0;
+    std::size_t cores = 0;
+    // Some core evaluated its equal-share race cap at `share` = H/m.
+    bool cap_read = false;
+    Watts share = 0.0;
+    // P(s*)·(1 + kRaceShareMargin): the smallest H/m the race cap ignores.
+    Watts share_floor = 0.0;
+  };
+  FastPathReads last_reads_;
   // The last value of a pure function of N doubles and the bits of the
   // arguments it was computed from: a call with the same bits returns
   // it instead of paying the pow inside. The all-zero default is
   // consistent for every use below, since each function maps all-zero
   // arguments to 0.
-  template <std::size_t N>
+  template <std::size_t N, typename V = double>
   struct LastValue {
     std::array<double, N> args{};
-    double value = 0.0;
+    V value{};
 
     template <typename F>
-    double get(const std::array<double, N>& a, F compute) {
+    V get(const std::array<double, N>& a, F compute) {
       if (std::bit_cast<std::array<std::uint64_t, N>>(a) !=
           std::bit_cast<std::array<std::uint64_t, N>>(args)) {
         args = a;
@@ -313,8 +353,13 @@ class DesPlanner {
   };
   // The race speed's a·s^β, keyed on (speed, a, β).
   LastValue<3> race_power_;
-  // pm.critical_speed(), keyed on (a, β, b, sleep_power).
-  LastValue<4> critical_speed_;
+  // pm.critical_speed() s* and P(s*) = pm.dynamic_power(s*), keyed on
+  // (a, β, b, sleep_power).
+  struct Critical {
+    Speed speed = 0.0;
+    Watts power = 0.0;
+  };
+  LastValue<4, Critical> critical_;
   // The fast path's equal-share race cap speed_for_dynamic_power(H/m),
   // keyed on (H/m, a, β).
   LastValue<3> share_cap_;

@@ -91,6 +91,7 @@ void RuntimeCore::assign_to_core(JobId id, int core) {
   st.core = core;
   auto& q = cores_[static_cast<std::size_t>(core)].queue;
   q.insert(std::lower_bound(q.begin(), q.end(), id), id);
+  ++generation_;
   if (cfg_.trace != nullptr) {
     cfg_.trace->push({.kind = obs::TraceEvent::Kind::Assign,
                       .t = now_,
@@ -115,6 +116,7 @@ void RuntimeCore::finalize(JobId id) {
   st.phase = JobState::Phase::Finalized;
   st.finalized_at = now_;
   ++finalized_count_;
+  ++generation_;
   if (st.satisfied) ++satisfied_count_;
   quality_sum_ += st.quality;
   ledger_.attribution().on_job(st.job.partial_ok, st.energy_j, st.quality);
@@ -187,6 +189,7 @@ void RuntimeCore::refresh_seg_power(CoreState& c) const {
 
 void RuntimeCore::advance(Time target) {
   QES_ASSERT(target >= now_ - kTimeEps);
+  ++generation_;
   while (true) {
     // Sub-step end: the earliest segment boundary across cores, capped at
     // the target. Power is constant within the sub-step.
@@ -316,8 +319,12 @@ void RuntimeCore::build_view() const {
 }
 
 Watts RuntimeCore::power_request() const {
-  build_view();
-  return planner_->total_power_request(view_);
+  if (request_generation_ != generation_) {
+    build_view();
+    request_ = planner_->total_power_request(view_);
+    request_generation_ = generation_;
+  }
+  return request_;
 }
 
 void RuntimeCore::set_power_budget(Watts budget) {
@@ -326,6 +333,7 @@ void RuntimeCore::set_power_budget(Watts budget) {
 }
 
 std::vector<AbandonedJob> RuntimeCore::abandon_unfinalized() {
+  ++generation_;
   std::vector<AbandonedJob> out;
   for (std::size_t k = first_live_; k < jobs_.size(); ++k) {
     JobState& st = jobs_[k];
@@ -372,6 +380,10 @@ void RuntimeCore::replan() {
                       .t = now_,
                       .value = static_cast<double>(waiting_.size())});
   }
+  if (waiting_.empty() && generation_ == plan_generation_ &&
+      planner_->last_outcome_holds(cfg_.power_budget)) {
+    return;  // the installed plans are what this replan would install
+  }
   // Step 1: ready-job distribution (C-RR with the persistent cursor).
   {
     obs::PhaseProfiler::Scope timer(planner_->begin_replan_profile());
@@ -388,6 +400,7 @@ void RuntimeCore::replan() {
   // the WorldView snapshot; the runtime serves the paper's default
   // model, i.e. PlanOptions{} on continuous C-DVFS.
   build_view();
+  plan_generation_ = generation_;
   planner_->plan_c_dvfs(view_, policy::PlanOptions{}, plan_out_);
 
   // Apply per core, in order: rigid discards (discovery order), then

@@ -148,7 +148,12 @@ class RuntimeCore {
 
   /// Runs the DES pipeline at the current time: C-RR distribution,
   /// budget-free per-core YDS, WF power split, and budget-bounded
-  /// Online-QE planning with the rigid-job discard loop (§V-D).
+  /// Online-QE planning with the rigid-job discard loop (§V-D). A replan
+  /// with no job waiting, on the state the installed plans were planned
+  /// from, keeps them when the planner certifies that its last outcome
+  /// holds under the current H (DesPlanner::last_outcome_holds): they are
+  /// what the pipeline would reinstall, bit for bit. It is still counted
+  /// and traced.
   void replan();
 
   /// Final accounting: integrates idle time out to `end_time` (the last
@@ -169,7 +174,8 @@ class RuntimeCore {
   /// schedules would draw right now if H were unlimited (DES step 2's
   /// `total_request`). This is the node's load signal to the cluster
   /// budget broker — when the allocated budget covers it, the node's
-  /// plans are identical to the unconstrained ones.
+  /// plans are identical to the unconstrained ones. Reads no H, so it is
+  /// recomputed only once the state generation has moved.
   [[nodiscard]] Watts power_request() const;
 
   /// Extracts every unfinalized job for re-dispatch after a node kill:
@@ -306,6 +312,17 @@ class RuntimeCore {
   Time now_ = 0.0;
   Time next_quantum_;
   std::size_t replans_ = 0;
+  // State generation: bumped by every member that changes what
+  // build_view() reads — the clock, a core queue or a processed volume
+  // (advance, assign_to_core, finalize, abandon_unfinalized). submit()
+  // leaves it, since its job waits outside the view until assigned, and
+  // so does set_power_budget(): H is the planner certificate's to check.
+  std::uint64_t generation_ = 1;
+  // The generation the last replan's view was built at (0: none yet).
+  std::uint64_t plan_generation_ = 0;
+  // power_request()'s last value and the generation it was computed at.
+  mutable std::uint64_t request_generation_ = 0;
+  mutable Watts request_ = 0.0;
 };
 
 }  // namespace qes::runtime

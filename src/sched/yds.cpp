@@ -28,42 +28,39 @@ void yds_schedule_into(std::span<const Job> jobs, YdsScratch& scratch,
   out.schedule.clear();
   out.critical_speed = 0.0;
 
+  // The active jobs' windows, compacted in sorted order. Each round's
+  // containment pass drops the jobs it schedules and compresses the
+  // survivors in place, so a round walks only the jobs still active.
   std::vector<Window>& win = scratch.win;
-  win.resize(n);
-  std::size_t remaining = 0;
+  win.clear();
   for (std::size_t k = 0; k < n; ++k) {
     const Job& j = jobs[k];
-    win[k] = {j.release, j.deadline, j.demand, j.demand > kTimeEps};
-    if (win[k].active) ++remaining;
+    if (j.demand > kTimeEps) win.push_back({j.release, j.deadline, j.demand, k});
   }
 
-  while (remaining > 0) {
-    // Find the critical interval among candidate pairs (i, j) of active
-    // jobs. Containment is contiguous in sorted order, so a prefix-sum
-    // over active demands gives O(1) interval weights.
-    std::vector<std::size_t>& act = scratch.act;
-    act.clear();
-    act.reserve(remaining);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (win[k].active) act.push_back(k);
-    }
-    std::vector<Work>& prefix = scratch.prefix;
-    prefix.assign(act.size() + 1, 0.0);
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      prefix[a + 1] = prefix[a] + win[act[a]].w;
+  std::vector<Work>& prefix = scratch.prefix;
+  while (!win.empty()) {
+    // Find the critical interval among candidate pairs (a, b) of active
+    // jobs. Containment is contiguous in sorted order, so a prefix sum
+    // over the active demands gives O(1) interval weights.
+    const std::size_t live = win.size();
+    prefix.resize(live + 1);
+    prefix[0] = 0.0;
+    for (std::size_t a = 0; a < live; ++a) {
+      prefix[a + 1] = prefix[a] + win[a].w;
     }
 
     double best_g = -1.0;
     Time best_z = 0.0, best_z2 = 0.0;
-    for (std::size_t a = 0; a < act.size(); ++a) {
+    for (std::size_t a = 0; a < live; ++a) {
       // Intervals starting at a non-first index of a tied release are
       // dominated by the pair starting at the first such index (same
       // interval, superset of jobs) — skip them. In the online case all
       // releases coincide, so only a == 0 survives.
-      if (a > 0 && win[act[a]].r <= win[act[a - 1]].r + kTimeEps) continue;
-      const Time z = win[act[a]].r;
-      for (std::size_t b = a; b < act.size(); ++b) {
-        const Time z2 = win[act[b]].d;
+      if (a > 0 && win[a].r <= win[a - 1].r + kTimeEps) continue;
+      const Time z = win[a].r;
+      for (std::size_t b = a; b < live; ++b) {
+        const Time z2 = win[b].d;
         const Time len = z2 - z;
         QES_ASSERT(len > 0.0);
         const double g = (prefix[b + 1] - prefix[a]) / len;
@@ -77,19 +74,20 @@ void yds_schedule_into(std::span<const Job> jobs, YdsScratch& scratch,
     QES_ASSERT_MSG(best_g > 0.0, "critical interval must have positive speed");
     out.critical_speed = std::max(out.critical_speed, best_g);
 
-    // Assign the critical speed to every contained active job and
-    // compress the interval out of the remaining windows.
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!win[k].active) continue;
-      if (win[k].r >= best_z - kTimeEps && win[k].d <= best_z2 + kTimeEps) {
-        out.speeds[k] = best_g;
-        win[k].active = false;
-        --remaining;
-      } else {
-        win[k].r = compress(win[k].r, best_z, best_z2);
-        win[k].d = compress(win[k].d, best_z, best_z2);
+    // Assign the critical speed to every contained job and compress the
+    // interval out of the survivors' windows, keeping them in order.
+    std::size_t kept = 0;
+    for (std::size_t a = 0; a < live; ++a) {
+      Window w = win[a];
+      if (w.r >= best_z - kTimeEps && w.d <= best_z2 + kTimeEps) {
+        out.speeds[w.k] = best_g;
+        continue;
       }
+      w.r = compress(w.r, best_z, best_z2);
+      w.d = compress(w.d, best_z, best_z2);
+      win[kept++] = w;
     }
+    win.resize(kept);
   }
 
   // Timetable: FIFO (== EDF for agreeable deadlines) at per-job speeds.

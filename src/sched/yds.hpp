@@ -29,11 +29,14 @@ struct YdsResult {
 };
 
 /// Computes the YDS schedule for `set`. Every job is completed in full by
-/// its deadline; jobs with zero demand are skipped. Each round scans the
-/// O(n^2) candidate intervals with O(1) intensities from a prefix sum
-/// over the active jobs, and removes at least one job, so O(n^3) worst
-/// case; with one common release (every online call) only the first
-/// start survives the tie skip and a round costs O(n).
+/// its deadline; jobs with zero demand are skipped. A round walks only
+/// the k jobs still active, kept in one compacted list that its
+/// containment pass shrinks in place: it scans their O(k^2) candidate
+/// intervals with O(1) intensities from a prefix sum over them, and
+/// removes at least one job, so O(n^3) worst case. With one common
+/// release (every online call) only the first start survives the tie
+/// skip, so a round costs O(k) and a run O(n^2) at worst, the bound
+/// Li–Yao–Yuan (arXiv:1408.5995) reach for general inputs.
 [[nodiscard]] YdsResult yds_schedule(const AgreeableJobSet& set);
 
 /// yds_schedule with a speed cap for callers whose demands were sized to
@@ -54,10 +57,9 @@ struct YdsScratch {
     Time r;
     Time d;
     Work w;
-    bool active;
+    std::size_t k;  // the job's index in the input list
   };
   std::vector<Window> win;
-  std::vector<std::size_t> act;
   std::vector<Work> prefix;
   std::vector<Job> scaled;
 };

@@ -452,5 +452,127 @@ TEST(PlannerStep2Memo, EveryKeyFieldChangeMatchesAFreshPlanner) {
   }
 }
 
+// ---- Kept outcomes (see "Kept outcomes" in des_planner.hpp) ----
+//
+// A planner that has planned a view at H is asked whether its outcome
+// holds at H'. Whenever it says so, a fresh planner's plan at H' must be
+// that outcome bit for bit.
+
+// A named budget and what the certificate must say about it.
+struct KeptBudget {
+  const char* name;
+  Watts budget;
+  // The fast path with H/m past the race share margin: every pair of
+  // these must be certified.
+  bool certified;
+};
+
+// The budgets one view is tried at: a fast-path budget H0, its
+// neighbours one ulp away, 0.7 and 1.3 times it, and budgets the
+// certificate must refuse. On the trough view those are one that leaves
+// the fast path, one whose H/m is just inside the race share margin,
+// and one where the equal-share race cap binds; on the b = 0 view no
+// core reads a race cap, so H matters only through the fast path's
+// test, at whose edge two more budgets sit.
+std::vector<KeptBudget> kept_budgets(DesPlanner& probe, bool trough,
+                                     void (*fill)(WorldView&, Watts,
+                                                  const PowerModel&),
+                                     const PowerModel& pm) {
+  WorldView v;
+  fill(v, 1.0, pm);
+  const Watts request = probe.total_power_request(v);
+  const double m = static_cast<double>(v.cores.size());
+  const Watts h0 = 30.0;
+  std::vector<KeptBudget> out = {
+      {"h0", h0, true},
+      {"h0_up_ulp", std::nextafter(h0, 1e300), true},
+      {"h0_down_ulp", std::nextafter(h0, 0.0), true},
+      {"h0_x0.7", 0.7 * h0, true},
+      {"h0_x1.3", 1.3 * h0, true},
+      {"slow_path", 0.5 * request, false}};
+  if (trough) {
+    const Watts p_star = pm.dynamic_power(pm.critical_speed());
+    out.push_back({"inside_margin",
+                   m * p_star * (1.0 + 0.5 * kRaceShareMargin), false});
+    out.push_back({"cap_binds", 1.5, false});
+  } else {
+    out.push_back({"fast_path_edge", request - 0.5 * kTimeEps, true});
+    out.push_back({"past_the_edge", request - 2.0 * kTimeEps, false});
+  }
+  return out;
+}
+
+TEST(PlannerKeptOutcome, CertifiedBudgetsPlanBitForBit) {
+  struct KeptModel {
+    const char* name;
+    PowerModel pm;
+    void (*fill)(WorldView& v, Watts budget, const PowerModel& pm);
+    bool trough;
+  };
+  const KeptModel models[] = {
+      {"trough", trough_power_model(), fill_trough_view, true},
+      {"b0", default_power_model(), fill_memo_view, false}};
+  for (const KeptModel& model : models) {
+    DesPlanner probe;
+    const std::vector<KeptBudget> budgets =
+        kept_budgets(probe, model.trough, model.fill, model.pm);
+    std::size_t certified = 0;
+    for (const KeptBudget& from : budgets) {
+      for (const KeptBudget& to : budgets) {
+        if (&from == &to) continue;
+        const std::string name = std::string(model.name) + "/" + from.name +
+                                 "->" + to.name;
+        DesPlanner warm;
+        WorldView v;
+        model.fill(v, from.budget, model.pm);
+        PlanOutcome kept;
+        warm.plan_c_dvfs(v, PlanOptions{}, kept);
+        const bool holds = warm.last_outcome_holds(to.budget);
+        EXPECT_EQ(holds, from.certified && to.certified) << name;
+        if (!holds) continue;
+        ++certified;
+        DesPlanner fresh;
+        model.fill(v, to.budget, model.pm);
+        PlanOutcome replanned;
+        fresh.plan_c_dvfs(v, PlanOptions{}, replanned);
+        expect_same_outcome(kept, replanned, name.c_str());
+      }
+    }
+    EXPECT_GT(certified, 0u) << model.name;
+  }
+}
+
+TEST(PlannerKeptOutcome, TroughBudgetsReadTheRaceCap) {
+  // What the refusals above rest on: on the trough view every fast-path
+  // budget prices a race against the cap, and at the binding budget the
+  // cap moves the outcome.
+  const PowerModel pm = trough_power_model();
+  WorldView v;
+  fill_trough_view(v, 1.5, pm);
+  DesPlanner binding;
+  PlanOutcome at_cap;
+  binding.plan_c_dvfs(v, PlanOptions{}, at_cap);
+  fill_trough_view(v, 30.0, pm);
+  DesPlanner roomy;
+  PlanOutcome at_h0;
+  roomy.plan_c_dvfs(v, PlanOptions{}, at_h0);
+  EXPECT_TRUE(at_h0.cores[2].sleep_after);
+  EXPECT_NE(at_cap.cores[2].plan[0].speed, at_h0.cores[2].plan[0].speed);
+  // No other plan_* call is certified for any budget.
+  DesPlanner other;
+  PlanOutcome out;
+  fill_trough_view(v, 30.0, pm);
+  other.plan_c_dvfs(v, PlanOptions{}, out);
+  ASSERT_TRUE(other.last_outcome_holds(30.0));
+  fill_trough_view(v, 30.0, pm);
+  other.plan_s_dvfs(v, PlanOptions{}, out);
+  EXPECT_FALSE(other.last_outcome_holds(30.0));
+  fill_trough_view(v, 30.0, pm);
+  other.plan_c_dvfs(v, PlanOptions{}, out);
+  fill_trough_view(v, 30.0, pm);
+  other.plan_no_dvfs(v, PlanOptions{}, out);
+  EXPECT_FALSE(other.last_outcome_holds(30.0));
+}
+
 }  // namespace
 }  // namespace qes::policy

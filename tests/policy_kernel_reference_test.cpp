@@ -554,15 +554,77 @@ void expect_yds_matches(const std::vector<Job>& jobs, YdsScratch& scratch) {
   ASSERT_TRUE(same_schedule(got.schedule, want.schedule));
 }
 
+// The YDS inputs, one shape per iteration:
+//  0. random_jobs with one common release, up to 24 jobs;
+//  1. random_jobs with distinct releases (and exact repeats), up to 40;
+//  2. common-release lists of up to 64 jobs, every online caller's shape;
+//  3. zero and sub-kTimeEps demands strictly inside a list, where the
+//     compacted active list first skips a job;
+//  4. runs of deadlines tied within kTimeEps, which one critical
+//     interval takes together;
+//  5. distinct-release offline sets, whose critical intervals start past
+//     the first active job and leave survivors on both sides.
+std::vector<Job> yds_input(Xoshiro256& rng, int iter) {
+  switch (iter % 6) {
+    case 0:
+      return random_jobs(rng, 1 + rng.uniform_index(24), true);
+    case 1: {
+      const std::size_t n = 1 + rng.uniform_index(40);
+      std::vector<Job> jobs = random_jobs(rng, n, false);
+      if (rng.bernoulli(0.2)) jobs[rng.uniform_index(n)].demand = 0.0;
+      return jobs;
+    }
+    case 2:
+      return random_jobs(rng, 1 + rng.uniform_index(64), true);
+    case 3: {
+      std::vector<Job> jobs = random_jobs(rng, 3 + rng.uniform_index(40),
+                                          rng.bernoulli(0.5));
+      const std::size_t zeros = 1 + rng.uniform_index(jobs.size() / 2);
+      for (std::size_t z = 0; z < zeros; ++z) {
+        Job& j = jobs[1 + rng.uniform_index(jobs.size() - 2)];
+        j.demand = rng.bernoulli(0.5) ? 0.0 : 0.5 * kTimeEps;
+      }
+      return jobs;
+    }
+    case 4: {
+      std::vector<Job> jobs = random_jobs(rng, 2 + rng.uniform_index(48),
+                                          rng.bernoulli(0.5));
+      for (std::size_t k = 1; k < jobs.size(); ++k) {
+        if (!rng.bernoulli(0.6)) continue;
+        const Time d = jobs[k - 1].deadline + rng.uniform(0.0, kTimeEps);
+        if (d > jobs[k].release + 1.0) jobs[k].deadline = d;
+      }
+      // Later deadlines stay at or after the ones pulled in.
+      for (std::size_t k = 1; k < jobs.size(); ++k) {
+        jobs[k].deadline = std::max(jobs[k].deadline, jobs[k - 1].deadline);
+      }
+      return jobs;
+    }
+    default: {
+      std::vector<Job> jobs;
+      Time release = rng.uniform(0.0, 20.0);
+      Time prev_deadline = 0.0;
+      const std::size_t n = 2 + rng.uniform_index(40);
+      for (std::size_t k = 0; k < n; ++k) {
+        release += rng.uniform(0.5, 30.0);
+        const Time d =
+            std::max(prev_deadline, release + rng.uniform(2.0, 150.0));
+        jobs.push_back({.id = k + 1,
+                        .release = release,
+                        .deadline = d,
+                        .demand = rng.uniform(0.5, 80.0)});
+        prev_deadline = d;
+      }
+      return jobs;
+    }
+  }
+}
+
 TEST(KernelReference, YdsSpanMatchesTheJobSetPath) {
   Xoshiro256 rng(0x7D5);
   YdsScratch scratch;
-  for (int iter = 0; iter < 600; ++iter) {
-    const bool tied = iter % 2 == 0;
-    const std::size_t n = 1 + rng.uniform_index(tied ? 24 : 40);
-    std::vector<Job> jobs = random_jobs(rng, n, tied);
-    if (rng.bernoulli(0.2)) jobs[rng.uniform_index(n)].demand = 0.0;
-    expect_yds_matches(jobs, scratch);
+  for (int iter = 0; iter < 1800; ++iter) {
+    expect_yds_matches(yds_input(rng, iter), scratch);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -571,11 +633,10 @@ TEST(KernelReference, CappedYdsRescaleMatchesTheJobSetPath) {
   Xoshiro256 rng(0xCA9);
   YdsScratch scratch;
   int rescaled = 0;
-  for (int iter = 0; iter < 400; ++iter) {
-    const bool tied = iter % 2 == 0;
-    const std::vector<Job> jobs =
-        random_jobs(rng, 1 + rng.uniform_index(20), tied);
+  for (int iter = 0; iter < 1200; ++iter) {
+    const std::vector<Job> jobs = yds_input(rng, iter);
     const Speed top = ref_yds(AgreeableJobSet(jobs)).critical_speed;
+    if (top <= 0.0) continue;
     // A cap a hair under the critical speed forces the rescale.
     const Speed cap = top * (1.0 - rng.uniform(0.0, 5e-5));
     const YdsResult want = ref_yds_capped(AgreeableJobSet(jobs), cap);
@@ -586,7 +647,7 @@ TEST(KernelReference, CappedYdsRescaleMatchesTheJobSetPath) {
     ASSERT_TRUE(same_schedule(got.schedule, want.schedule));
     rescaled += cap < top;
   }
-  EXPECT_GT(rescaled, 300);
+  EXPECT_GT(rescaled, 900);
 }
 
 // ---------------------------------------------------------------------

@@ -12,17 +12,24 @@
 //     integral reconciles with it;
 //   - the attribution plane's static/wake/residency streams reconcile
 //     with the model's own accounting mid-run and at finish (the live
-//     scrape acceptance bound, <= 1e-9), in the runtime and in the sim.
+//     scrape acceptance bound, <= 1e-9), in the runtime and in the sim;
+//   - an equal share past policy::kRaceShareMargin puts the share cap
+//     above the critical speed on every model, and a share under the
+//     margin still evaluates the cap.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/prng.hpp"
 #include "multicore/des_scheduler.hpp"
+#include "policy/des_planner.hpp"
 #include "runtime/core.hpp"
 #include "runtime/server.hpp"
 #include "sim/engine.hpp"
@@ -289,6 +296,96 @@ TEST(PowerRuntimeServer, LiveServerParksCoresOnSparseTraffic) {
   const runtime::MetricsSnapshot& last = server.snapshots().back();
   EXPECT_GT(last.static_energy_j, 0.0);
   EXPECT_FALSE(last.to_json().empty());
+}
+
+// ---- The race share margin (policy::kRaceShareMargin) ----
+//
+// plan_c_dvfs's fast path skips the share cap speed_for_dynamic_power(H/m)
+// once H/m >= P(s*)·(1 + kRaceShareMargin), taking the cap to be above
+// the critical speed s*. That must hold for the cap the pow would have
+// returned, on every model.
+TEST(RaceShareMargin, CapAtTheMarginClearsTheCriticalSpeed) {
+  const auto check = [](const PowerModel& pm) {
+    const Speed s = pm.critical_speed();
+    ASSERT_GT(s, 0.0);
+    const Watts floor =
+        pm.dynamic_power(s) * (1.0 + policy::kRaceShareMargin);
+    EXPECT_GE(pm.speed_for_dynamic_power(floor), s)
+        << "a = " << pm.a << ", beta = " << pm.beta << ", b = " << pm.b
+        << ", sleep_power = " << pm.sleep_power;
+  };
+  for (double a : {0.05, 0.5, 2.6075, 5.0, 12.5, 80.0}) {
+    for (double beta : {1.1, 1.5, 1.791, 2.0, 2.5, 3.0, 4.0, 7.0}) {
+      for (Watts b : {0.1, 0.7, 2.0, 9.2562, 40.0}) {
+        for (double sleep_frac : {0.0, 0.1, 0.5, 0.95}) {
+          PowerModel pm = sleep_model(0.05, b, b * sleep_frac);
+          pm.a = a;
+          pm.beta = beta;
+          check(pm);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  Xoshiro256 rng(0x5EA);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const Watts b = std::exp(rng.uniform(std::log(0.01), std::log(100.0)));
+    PowerModel pm = sleep_model(0.05, b, b * rng.uniform(0.0, 0.99));
+    pm.a = std::exp(rng.uniform(std::log(0.01), std::log(100.0)));
+    pm.beta = rng.uniform(1.05, 6.0);
+    check(pm);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Under the margin the share cap is evaluated: the race runs at
+// min(its pow, s*) bit for bit, and the outcome is tied to that H, so
+// the planner certifies it for no other budget.
+TEST(RaceShareMargin, ShareUnderTheMarginTakesThePowPath) {
+  const PowerModel pm = sleep_model(/*wake_j=*/0.05);  // s* = 0.6 GHz
+  const QualityFunction quality = QualityFunction::exponential();
+  const Speed s_star = pm.critical_speed();
+  const Watts p_star = pm.dynamic_power(s_star);
+  const Watts floor = p_star * (1.0 + policy::kRaceShareMargin);
+  // One core whose one long light job stretches at 0.1 GHz and races.
+  const auto plan_at = [&](policy::DesPlanner& planner, Watts budget) {
+    policy::WorldView v;
+    v.reset(0.0, budget, 1);
+    v.power_model = &pm;
+    v.quality = &quality;
+    v.cores[0].jobs = {{.id = 1, .deadline = 200.0, .demand = 20.0}};
+    policy::PlanOutcome out;
+    planner.plan_c_dvfs(v, policy::PlanOptions{}, out);
+    return out.cores[0];
+  };
+
+  {
+    policy::DesPlanner planner;
+    const policy::CoreOutcome at_floor = plan_at(planner, floor);
+    ASSERT_TRUE(at_floor.sleep_after);
+    EXPECT_EQ(at_floor.plan[0].speed, s_star);
+    EXPECT_TRUE(planner.last_outcome_holds(floor));
+    EXPECT_TRUE(planner.last_outcome_holds(2.0 * floor));
+  }
+  const Watts under_margin[] = {std::nextafter(floor, 0.0),
+                                p_star * (1.0 + 0.5 * policy::kRaceShareMargin),
+                                p_star, std::nextafter(p_star, 0.0),
+                                p_star * (1.0 - 1e-9), p_star * (1.0 - 1e-6),
+                                0.5 * p_star};
+  for (Watts share : under_margin) {
+    policy::DesPlanner planner;
+    const policy::CoreOutcome out = plan_at(planner, share);
+    ASSERT_TRUE(out.sleep_after) << share;
+    const Speed want = std::min(pm.speed_for_dynamic_power(share), s_star);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.plan[0].speed),
+              std::bit_cast<std::uint64_t>(want))
+        << share;
+    EXPECT_FALSE(planner.last_outcome_holds(share)) << share;
+    EXPECT_FALSE(planner.last_outcome_holds(2.0 * floor)) << share;
+  }
+  // Half of P(s*) binds the race below s*.
+  policy::DesPlanner planner;
+  EXPECT_LT(plan_at(planner, 0.5 * p_star).plan[0].speed, s_star);
 }
 
 }  // namespace
